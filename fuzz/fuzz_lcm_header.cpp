@@ -2,8 +2,9 @@
 // The peeks are the gateway fast path: they read trace words and flags
 // at fixed offsets without a full decode, so they must agree with
 // decode_lcm on every input decode_lcm accepts, and must never read out
-// of bounds on input it rejects. Also drives the ND and IP envelope
-// decoders, which share the ShiftReader plumbing.
+// of bounds on input it rejects; so must decode_lcm_view, the receive
+// path's in-place decoder. Also drives the ND and IP envelope decoders,
+// which share the ShiftReader plumbing.
 #include <cstdint>
 
 #include "core/wire/frames.h"
@@ -25,8 +26,19 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   auto lcm = wire::decode_lcm(view);
   auto flags = wire::peek_lcm_flags(view);
   auto trace = wire::peek_lcm_trace(view);
+  // The receive path's in-place decoder must accept exactly what the
+  // reference accepts.
+  auto lcm_view = wire::decode_lcm_view(view);
+  require(lcm_view.ok() == lcm.ok());
   if (lcm.ok()) {
     const auto& h = lcm.value().header;
+    const auto& hv = lcm_view.value().header;
+    require(hv.kind == h.kind && hv.flags == h.flags && hv.src == h.src &&
+            hv.dst == h.dst && hv.req_id == h.req_id && hv.mode == h.mode &&
+            hv.src_arch == h.src_arch && hv.trace_hi == h.trace_hi &&
+            hv.trace_lo == h.trace_lo && hv.trace_parent == h.trace_parent);
+    const ntcs::BytesView pv = lcm_view.value().payload;
+    require(ntcs::Bytes(pv.begin(), pv.end()) == lcm.value().payload);
     // The flags peek must see exactly what the full decode sees.
     require(flags.has_value() && *flags == h.flags);
     // The trace peek treats a zero trace id as untraced; otherwise it
@@ -61,5 +73,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     (void)wire::decode_ip(ntcs::BytesView(nd.value().body));
   }
   (void)wire::decode_ip(view);
+  (void)wire::decode_nd_view(view);
+  (void)wire::decode_ip_view(view);
   return 0;
 }

@@ -48,6 +48,12 @@
 #    vector-clock bookkeeping under memory checking). The fuzz corpus
 #    replay (label `fuzz`) rides along here: wire decoders over the
 #    checked-in corpus in both builds.
+# 14. Benchmark-configuration stage: a Release tree with the lock-rank
+#    validator compiled out (-DNTCS_LOCK_CHECKS=OFF, what perfbench
+#    builds) must build and pass the full suite — the `analysis` cases
+#    report skipped there — and the allocation-budget suite (label
+#    `perf`) must hold its per-round-trip budget in that configuration
+#    too.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -183,5 +189,14 @@ ctest --test-dir "$BUILD_DIR" -j"$(nproc)" --output-on-failure -L sched
 ctest --test-dir "$ASAN_DIR" -j"$(nproc)" --output-on-failure -L sched
 ctest --test-dir "$BUILD_DIR" -j"$(nproc)" --output-on-failure -L fuzz
 ctest --test-dir "$ASAN_DIR" -j"$(nproc)" --output-on-failure -L fuzz
+
+# Benchmark-configuration stage: Release, lock-rank validator compiled out
+# — the configuration perfbench measures. Full suite, then the
+# allocation-budget suite on its own.
+REL_DIR="${REL_BUILD_DIR:-build-release}"
+cmake -B "$REL_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DNTCS_LOCK_CHECKS=OFF
+cmake --build "$REL_DIR" -j"$(nproc)"
+ctest --test-dir "$REL_DIR" -j"$(nproc)" --output-on-failure
+ctest --test-dir "$REL_DIR" -j"$(nproc)" --output-on-failure -L perf
 
 echo "verify: OK"

@@ -63,7 +63,7 @@ ntcs::Status ComMod::deregister() { return nsp_.deregister(identity_->uadd()); }
 ntcs::Status ComMod::send(UAdd dst, ntcs::BytesView bytes) {
   if (auto st = check_dst(dst, bytes.size()); !st.ok()) return st;
   trace::RootSpan root("ali", "send", identity_->name());
-  return lcm_.send(dst, Payload::raw(ntcs::Bytes(bytes.begin(), bytes.end())));
+  return lcm_.send(dst, bytes);
 }
 
 ntcs::Status ComMod::send(UAdd dst, const Payload& p) {
@@ -78,6 +78,8 @@ ntcs::Result<Reply> ComMod::request(UAdd dst, ntcs::BytesView bytes,
   SendOptions opts;
   opts.timeout = timeout;
   trace::RootSpan root("ali", "request", identity_->name());
+  // The request's ticket owns its payload (for retries): one copy, moved
+  // in.
   return lcm_.request(dst,
                       Payload::raw(ntcs::Bytes(bytes.begin(), bytes.end())),
                       opts);
@@ -130,8 +132,7 @@ ntcs::Status ComMod::reply(const ReplyCtx& ctx, ntcs::BytesView bytes) {
   if (bytes.size() > kMaxAppMessage) {
     return ntcs::Status(ntcs::Errc::too_big, "reply exceeds ALI maximum");
   }
-  return lcm_.reply(ctx,
-                    Payload::raw(ntcs::Bytes(bytes.begin(), bytes.end())));
+  return lcm_.reply(ctx, bytes);
 }
 
 ntcs::Status ComMod::reply(const ReplyCtx& ctx, const Payload& p) {
@@ -143,8 +144,7 @@ ntcs::Status ComMod::reply(const ReplyCtx& ctx, const Payload& p) {
 
 ntcs::Status ComMod::dgram(UAdd dst, ntcs::BytesView bytes) {
   if (auto st = check_dst(dst, bytes.size()); !st.ok()) return st;
-  return lcm_.dgram(dst,
-                    Payload::raw(ntcs::Bytes(bytes.begin(), bytes.end())));
+  return lcm_.dgram(dst, bytes);
 }
 
 ntcs::Result<Payload> ComMod::payload_for(const convert::Record& rec) const {

@@ -335,6 +335,12 @@ ntcs::Result<IvcHandle> IpLayer::open_ivc(const ResolvedDest& dst) {
 }
 
 ntcs::Status IpLayer::send(IvcHandle h, ntcs::BytesView lcm_msg) {
+  wire::HeaderBuf head;
+  return send(h, head, lcm_msg);
+}
+
+ntcs::Status IpLayer::send(IvcHandle h, wire::HeaderBuf& head,
+                           ntcs::BytesView payload) {
   {
     ntcs::LockGuard lk(mu_);
     auto it = ivcs_.find(h);
@@ -345,7 +351,8 @@ ntcs::Status IpLayer::send(IvcHandle h, ntcs::BytesView lcm_msg) {
   const trace::TraceContext tctx =
       trace::enabled() ? trace::current() : trace::TraceContext{};
   const std::int64_t hop_start = tctx.valid() ? trace::now_ns() : 0;
-  auto st = nd_.send(h.lvc, wire::encode_ip_data(h.ivc, lcm_msg));
+  head.push_ip_data(h.ivc);
+  auto st = nd_.send(h.lvc, head, payload);
   if (tctx.valid()) {
     // The origin's own hop onto the wire; each traversed gateway records
     // its forwarding hop in on_envelope, completing the per-hop chain.
@@ -401,29 +408,27 @@ void IpLayer::remove_relay_entry(IvcHandle h) {
   relays_.erase(h);
 }
 
-std::vector<IpEvent> IpLayer::on_nd_event(const NdEvent& ev) {
+void IpLayer::on_nd_event(const NdEvent& ev, const IpEventSink& up) {
   switch (ev.kind) {
     case NdEvent::Kind::opened:
-      return {};
+      return;
     case NdEvent::Kind::closed:
-      return on_lvc_closed(ev.lvc);
+      on_lvc_closed(ev.lvc, up);
+      return;
     case NdEvent::Kind::message: {
-      auto env = wire::decode_ip(ev.message);
+      const ntcs::BytesView envelope = ev.message();
+      auto env = wire::decode_ip_view(envelope);
       if (!env) {
-        static metrics::Counter& m_decode_drops =
-            metrics::counter("ip.decode_drops");
-        m_decode_drops.inc();
-        log_.warn("dropping undecodable IP envelope: " +
-                  env.error().to_string());
-        return {};
+        drop_undecodable(env.error());
+        return;
       }
-      return on_envelope(ev.lvc, env.value());
+      on_envelope(ev.lvc, env.value(), envelope, up);
+      return;
     }
   }
-  return {};
 }
 
-std::vector<IpEvent> IpLayer::on_lvc_closed(LvcId lvc) {
+void IpLayer::on_lvc_closed(LvcId lvc, const IpEventSink& up) {
   // §4.3: "Module death is detected by the ND-layer in any connected module
   // and the physical channel is closed. ... This process continues until
   // the originating module is eventually reached."
@@ -477,11 +482,11 @@ std::vector<IpEvent> IpLayer::on_lvc_closed(LvcId lvc) {
                                 wire::encode_ip_teardown(target.out_h.ivc));
     target.out->remove_relay_entry(target.out_h);
   }
-  return events;
+  for (const IpEvent& e : events) up(e);
 }
 
-std::vector<IpEvent> IpLayer::on_envelope(LvcId lvc,
-                                          const wire::IpEnvelope& env) {
+void IpLayer::on_envelope(LvcId lvc, const wire::IpView& env,
+                          ntcs::BytesView envelope, const IpEventSink& up) {
   const IvcHandle h{lvc, env.ivc};
   switch (env.kind) {
     case wire::IpKind::data: {
@@ -527,7 +532,7 @@ std::vector<IpEvent> IpLayer::on_envelope(LvcId lvc,
                   trace::TraceContext{tw->hi, tw->lo, tw->parent}, "gw",
                   "fairness_drop", identity_->name());
             }
-            return {};
+            return;
           }
         }
         // The fast path through a Gateway: forward on the chained LVC. Each
@@ -537,8 +542,11 @@ std::vector<IpEvent> IpLayer::on_envelope(LvcId lvc,
             metrics::counter("ip.hops_forwarded");
         m_hops.inc();
         const std::int64_t relay_start = tw ? trace::now_ns() : 0;
-        auto st = relay.out->nd().send(
-            relay.out_h.lvc, wire::encode_ip_data(relay.out_h.ivc, env.body));
+        // The LCM message is forwarded as a view of the received buffer
+        // behind a re-encoded IP prologue — no copy at the gateway.
+        wire::HeaderBuf head;
+        head.push_ip_data(relay.out_h.ivc);
+        auto st = relay.out->nd().send(relay.out_h.lvc, head, env.body);
         if (!st.ok()) {
           // The onward LVC refused the frame (dying circuit, backend
           // overload): the message is lost here. Never silently — count
@@ -551,31 +559,35 @@ std::vector<IpEvent> IpLayer::on_envelope(LvcId lvc,
                 trace::TraceContext{tw->hi, tw->lo, tw->parent}, "ip",
                 "relay_drop", identity_->name());
           }
-          return {};
+          return;
         }
         if (tw) {
           trace::record_child(
               trace::TraceContext{tw->hi, tw->lo, tw->parent}, "ip", "hop",
               identity_->name(), relay_start, trace::now_ns());
         }
-        return {};
+        return;
       }
       if (is_local) {
-        IpEvent e;
-        e.kind = IpEvent::Kind::message;
-        e.via = h;
-        e.lcm_msg = env.body;
-        return {std::move(e)};
+        up(IpEvent{IpEvent::Kind::message, h, env.body});
+        return;
       }
       // Data for an IVC this node no longer knows (raced teardown, stale
       // chain): dropped, visibly.
       static metrics::Counter& m_stray = metrics::counter("ip.stray_drops");
       m_stray.inc();
       log_.debug("stray data for unknown IVC " + std::to_string(env.ivc));
-      return {};
+      return;
     }
     case wire::IpKind::extend: {
-      if (env.extend.route.empty()) {
+      // Route lists are variable fields: the reference decoder.
+      auto full = wire::decode_ip(envelope);
+      if (!full) {
+        drop_undecodable(full.error());
+        return;
+      }
+      const wire::ExtendBody& extend = full.value().extend;
+      if (extend.route.empty()) {
         // We are the destination: accept the inbound circuit.
         {
           ntcs::LockGuard lk(mu_);
@@ -583,7 +595,7 @@ std::vector<IpEvent> IpLayer::on_envelope(LvcId lvc,
           ++stats_.ivcs_accepted;
         }
         (void)nd_.send(lvc, wire::encode_ip_extend_ok(env.ivc));
-        return {};
+        return;
       }
       GatewayHook* gw = nullptr;
       {
@@ -597,13 +609,23 @@ std::vector<IpEvent> IpLayer::on_envelope(LvcId lvc,
                            static_cast<std::uint32_t>(ntcs::Errc::no_route),
                            "module '" + identity_->name() +
                                "' is not a gateway"));
-        return {};
+        return;
       }
-      gw->on_extend(this, lvc, env.ivc, env.extend);  // enqueue; non-blocking
-      return {};
+      gw->on_extend(this, lvc, env.ivc, extend);  // enqueue; non-blocking
+      return;
     }
     case wire::IpKind::extend_ok:
     case wire::IpKind::extend_fail: {
+      ntcs::Status result = ntcs::Status::success();
+      if (env.kind == wire::IpKind::extend_fail) {
+        auto full = wire::decode_ip(envelope);
+        if (!full) {
+          drop_undecodable(full.error());
+          return;
+        }
+        result = ntcs::Status(static_cast<ntcs::Errc>(full.value().errc),
+                              full.value().text);
+      }
       std::shared_ptr<ExtendWait> waiter;
       {
         ntcs::LockGuard lk(mu_);
@@ -612,15 +634,10 @@ std::vector<IpEvent> IpLayer::on_envelope(LvcId lvc,
       }
       if (waiter) {
         ntcs::LockGuard wl(waiter->mu);
-        if (env.kind == wire::IpKind::extend_ok) {
-          waiter->result = ntcs::Status::success();
-        } else {
-          auto code = static_cast<ntcs::Errc>(env.errc);
-          waiter->result = ntcs::Status(code, env.text);
-        }
+        waiter->result = std::move(result);
         waiter->cv.notify_all();
       }
-      return {};
+      return;
     }
     case wire::IpKind::teardown: {
       RelayTarget relay{};
@@ -642,18 +659,18 @@ std::vector<IpEvent> IpLayer::on_envelope(LvcId lvc,
         (void)relay.out->nd().send(
             relay.out_h.lvc, wire::encode_ip_teardown(relay.out_h.ivc));
         relay.out->remove_relay_entry(relay.out_h);
-        return {};
+        return;
       }
-      if (was_local) {
-        IpEvent e;
-        e.kind = IpEvent::Kind::ivc_closed;
-        e.via = h;
-        return {std::move(e)};
-      }
-      return {};
+      if (was_local) up(IpEvent{IpEvent::Kind::ivc_closed, h, {}});
+      return;
     }
   }
-  return {};
+}
+
+void IpLayer::drop_undecodable(const ntcs::Error& e) {
+  static metrics::Counter& m_decode_drops = metrics::counter("ip.decode_drops");
+  m_decode_drops.inc();
+  log_.warn("dropping undecodable IP envelope: " + e.to_string());
 }
 
 IpLayer::Stats IpLayer::stats() const {

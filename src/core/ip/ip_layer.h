@@ -72,8 +72,13 @@ struct IpEvent {
   enum class Kind : std::uint8_t { message, ivc_closed };
   Kind kind;
   IvcHandle via;
-  ntcs::Bytes lcm_msg;  // kind == message
+  /// kind == message: a view into the ND event's buffer, valid for the
+  /// duration of the upcall.
+  ntcs::BytesView lcm_msg;
 };
+
+/// Where the IP-Layer hands its events (the LCM-Layer, on the pump).
+using IpEventSink = std::function<void(const IpEvent&)>;
 
 class IpLayer;
 
@@ -138,13 +143,18 @@ class IpLayer {
 
   /// Send one LCM message down an established IVC. Non-blocking.
   ntcs::Status send(IvcHandle h, ntcs::BytesView lcm_msg);
+  /// The gather form: the LCM message is `head` (its header, encoded in
+  /// place) followed by `payload`; the IP prologue is pushed onto `head`.
+  ntcs::Status send(IvcHandle h, wire::HeaderBuf& head,
+                    ntcs::BytesView payload);
 
   /// Tear down an IVC (propagates along the chain).
   ntcs::Status close_ivc(IvcHandle h);
 
   /// Pump integration: translate one ND event into zero or more LCM-facing
-  /// events, performing relaying and circuit management on the way.
-  std::vector<IpEvent> on_nd_event(const NdEvent& ev);
+  /// events handed to `up`, performing relaying and circuit management on
+  /// the way.
+  void on_nd_event(const NdEvent& ev, const IpEventSink& up);
 
   // ---- gateway support (called from Gateway worker threads) -------------
   struct ExtendWait {
@@ -220,8 +230,10 @@ class IpLayer {
   };
 
   ntcs::Result<std::vector<GatewayRecord>> topology(bool static_only);
-  std::vector<IpEvent> on_lvc_closed(LvcId lvc);
-  std::vector<IpEvent> on_envelope(LvcId lvc, const wire::IpEnvelope& env);
+  void on_lvc_closed(LvcId lvc, const IpEventSink& up);
+  void on_envelope(LvcId lvc, const wire::IpView& env,
+                   ntcs::BytesView envelope, const IpEventSink& up);
+  void drop_undecodable(const ntcs::Error& e);
   void remove_relay_entry(IvcHandle h);
 
   NdLayer& nd_;

@@ -136,8 +136,8 @@ struct PendingRequest {
   ntcs::Mutex mu{ntcs::lockrank::kLcmRequest, "lcm.request"};
   ntcs::CondVar cv;
   std::optional<ntcs::Result<Reply>> result GUARDED_BY(mu);
-  // sync: routing breadcrumbs stamped by the send path and read by the
-  // teardown sweep without the ticket lock; 0 means "not routed that way".
+  // sync: routing breadcrumbs (0 = none), written under `mu` before each
+  // send; the teardown pre-filters on them unlocked, re-checks under `mu`.
   std::atomic<std::uint64_t> via_lvc{0};
   std::atomic<std::uint64_t> via_ivc{0};
 
@@ -148,6 +148,19 @@ struct PendingRequest {
 };
 
 namespace {
+
+/// Record the circuit a request is about to leave on — before the frame
+/// does, so an ivc_closed for that circuit always finds the request. False
+/// when the request already has a result (the close of its previous
+/// circuit faulted it, or shutdown failed it): await() takes over instead
+/// of this send, so the request never goes out twice.
+bool stamp_circuit(PendingRequest& t, IvcHandle h) {
+  ntcs::LockGuard sl(t.mu);
+  if (t.result) return false;
+  t.via_lvc.store(h.lvc);
+  t.via_ivc.store(h.ivc);
+  return true;
+}
 
 metrics::Histogram& pipeline_depth_hist() {
   static metrics::Histogram& h = metrics::histogram("lcm.pipeline_depth");
@@ -310,27 +323,31 @@ ntcs::Result<ResolvedDest> LcmLayer::resolved_for(UAdd dst) {
   return rd.value();
 }
 
-ntcs::Result<ntcs::Bytes> LcmLayer::encode_body(const Payload& p,
-                                                convert::Arch peer_arch,
-                                                convert::XferMode& mode_out) {
+ntcs::Result<ntcs::BytesView> LcmLayer::encode_body(
+    const Body& body, convert::Arch peer_arch, convert::XferMode& mode_out,
+    ntcs::Bytes& packed) {
   // §5: the decision to convert is taken here, at the lowest layer where
   // the destination machine type is visible. No pack routine means the
   // application vouches for representation independence.
-  if (p.pack &&
+  if (body.pack != nullptr &&
       convert::choose_mode(identity_->arch(), peer_arch) ==
           convert::XferMode::packed) {
     mode_out = convert::XferMode::packed;
-    return p.pack();
+    auto out = (*body.pack)();
+    if (!out) return out.error();
+    packed = std::move(out.value());
+    return ntcs::BytesView(packed);
   }
   mode_out = convert::XferMode::image;
-  return p.image;
+  return body.image;
 }
 
 ntcs::Result<IvcHandle> LcmLayer::send_message(UAdd dst, wire::LcmKind kind,
                                                std::uint32_t req_id,
-                                               const Payload& p,
+                                               const Body& body,
                                                const SendOptions& opts,
-                                               int fault_retries) {
+                                               int fault_retries,
+                                               PendingRequest* stamp) {
   if (g_recursion_depth > cfg_.max_recursion_depth) {
     static metrics::Counter& m_trips = metrics::counter("lcm.recursion_trips");
     m_trips.inc();
@@ -348,7 +365,9 @@ ntcs::Result<IvcHandle> LcmLayer::send_message(UAdd dst, wire::LcmKind kind,
   }
   RecursionScope scope;
 
-  ntcs::Error last(ntcs::Errc::address_fault, "send never attempted");
+  // Code only: every attempt overwrites it, and a diagnostic text here
+  // would be a heap allocation on every send.
+  ntcs::Error last(ntcs::Errc::address_fault);
   ntcs::Backoff backoff(cfg_.fault_backoff);
   for (int attempt = 0; attempt <= fault_retries; ++attempt) {
     if (attempt != 0) {
@@ -431,12 +450,12 @@ ntcs::Result<IvcHandle> LcmLayer::send_message(UAdd dst, wire::LcmKind kind,
     if (have) {
       // Conversion-mode decision needs the peer machine type, learned in
       // the channel-open exchange (§3.3).
-      auto peer = ip_.nd().peer(h.lvc);
       const convert::Arch peer_arch =
-          peer ? peer->arch : identity_->arch();
+          ip_.nd().peer_arch(h.lvc).value_or(identity_->arch());
       convert::XferMode mode = convert::XferMode::image;
-      auto body = encode_body(p, peer_arch, mode);
-      if (!body) return body.error();
+      ntcs::Bytes packed;
+      auto image = encode_body(body, peer_arch, mode, packed);
+      if (!image) return image.error();
 
       wire::LcmHeader hdr;
       hdr.kind = kind;
@@ -459,7 +478,12 @@ ntcs::Result<IvcHandle> LcmLayer::send_message(UAdd dst, wire::LcmKind kind,
         }
       }
 
-      auto st = ip_.send(h, wire::encode_lcm(hdr, body.value()));
+      if (stamp != nullptr && !stamp_circuit(*stamp, h)) return h;
+      // The header is encoded in place and the payload travels as a view:
+      // its one copy is into the substrate's frame.
+      wire::HeaderBuf head;
+      head.push_lcm(hdr);
+      auto st = ip_.send(h, head, image.value());
       if (st.ok()) return h;
       last = st.error();
       if (last.code() == ntcs::Errc::too_big) return last;
@@ -547,6 +571,16 @@ ntcs::Result<IvcHandle> LcmLayer::send_message(UAdd dst, wire::LcmKind kind,
 }
 
 ntcs::Status LcmLayer::send(UAdd dst, const Payload& p, SendOptions opts) {
+  return send_body(dst, Body::of(p), opts);
+}
+
+ntcs::Status LcmLayer::send(UAdd dst, ntcs::BytesView image,
+                            SendOptions opts) {
+  return send_body(dst, Body{image}, opts);
+}
+
+ntcs::Status LcmLayer::send_body(UAdd dst, const Body& body,
+                                 SendOptions opts) {
   if (!dst.valid()) {
     return ntcs::Status(ntcs::Errc::bad_argument, "invalid destination");
   }
@@ -566,14 +600,14 @@ ntcs::Status LcmLayer::send(UAdd dst, const Payload& p, SendOptions opts) {
   // the LCM-layer, which generates a time stamp for monitor data" — which
   // may itself communicate, recursively.
   const std::int64_t ts = time_source ? time_source() : 0;
-  auto sent = send_message(dst, wire::LcmKind::data, 0, p, opts,
+  auto sent = send_message(dst, wire::LcmKind::data, 0, body, opts,
                            cfg_.fault_retries);
   if (!sent) return sent.error();
   if (monitor) {
     MonitorSample s;
     s.src = identity_->uadd();
     s.dst = dst;
-    s.bytes = p.image.size();
+    s.bytes = body.image.size();
     s.timestamp_ns = ts;
     s.request = false;
     monitor(s);  // "the LCM-layer sends data to the monitor by calling
@@ -744,16 +778,18 @@ ntcs::Status LcmLayer::issue(const RequestTicket& t) {
   {
     ntcs::LockGuard sl(t->mu);
     t->result.reset();
+    t->via_lvc.store(0);
+    t->via_ivc.store(0);
   }
   t->req_id = req_id;
-  t->via_lvc.store(0);
-  t->via_ivc.store(0);
   {
     ntcs::LockGuard lk(mu_);
     pending_[req_id] = t;
   }
-  auto sent = send_message(t->dst, wire::LcmKind::request, req_id, t->payload,
-                           t->opts, cfg_.fault_retries);
+  // send_message stamps the ticket with each circuit before sending on it.
+  auto sent = send_message(t->dst, wire::LcmKind::request, req_id,
+                           Body::of(t->payload), t->opts, cfg_.fault_retries,
+                           t.get());
   if (!sent) {
     {
       ntcs::LockGuard lk(mu_);
@@ -762,12 +798,15 @@ ntcs::Status LcmLayer::issue(const RequestTicket& t) {
     release_window(*t);
     return sent.error();
   }
-  t->via_lvc.store(sent.value().lvc);
-  t->via_ivc.store(sent.value().ivc);
   return ntcs::Status::success();
 }
 
 ntcs::Result<RequestTicket> LcmLayer::request_async(UAdd dst, const Payload& p,
+                                                    SendOptions opts) {
+  return request_async(dst, Payload(p), opts);
+}
+
+ntcs::Result<RequestTicket> LcmLayer::request_async(UAdd dst, Payload&& p,
                                                     SendOptions opts) {
   if (!dst.valid()) {
     return ntcs::Error(ntcs::Errc::bad_argument, "invalid destination");
@@ -782,7 +821,7 @@ ntcs::Result<RequestTicket> LcmLayer::request_async(UAdd dst, const Payload& p,
   }
   auto t = std::make_shared<PendingRequest>();
   t->dst = dst;
-  t->payload = p;
+  t->payload = std::move(p);
   t->opts = opts;
   // The deadline is absolute from the moment of issue and is shared by
   // every retry; nanosecond-resolution arithmetic end to end, so sub-ms
@@ -865,14 +904,27 @@ ntcs::Result<Reply> LcmLayer::await(const RequestTicket& t) {
 
 ntcs::Result<Reply> LcmLayer::request(UAdd dst, const Payload& p,
                                       SendOptions opts) {
+  return request(dst, Payload(p), opts);
+}
+
+ntcs::Result<Reply> LcmLayer::request(UAdd dst, Payload&& p,
+                                      SendOptions opts) {
   static metrics::Histogram& m_rtt = metrics::histogram("lcm.request_rtt_ns");
   metrics::ScopedTimer rtt_timer(m_rtt);
-  auto t = request_async(dst, p, opts);
+  auto t = request_async(dst, std::move(p), opts);
   if (!t) return t.error();
   return await(t.value());
 }
 
 ntcs::Status LcmLayer::reply(const ReplyCtx& ctx, const Payload& p) {
+  return reply_body(ctx, Body::of(p));
+}
+
+ntcs::Status LcmLayer::reply(const ReplyCtx& ctx, ntcs::BytesView image) {
+  return reply_body(ctx, Body{image});
+}
+
+ntcs::Status LcmLayer::reply_body(const ReplyCtx& ctx, const Body& body) {
   if (!ctx.valid()) {
     return ntcs::Status(ntcs::Errc::bad_argument, "invalid reply context");
   }
@@ -882,11 +934,12 @@ ntcs::Status LcmLayer::reply(const ReplyCtx& ctx, const Payload& p) {
   }
   static metrics::Counter& m_replies = metrics::counter("lcm.replies");
   m_replies.inc();
-  auto peer = ip_.nd().peer(ctx.via.lvc);
-  const convert::Arch peer_arch = peer ? peer->arch : identity_->arch();
+  const convert::Arch peer_arch =
+      ip_.nd().peer_arch(ctx.via.lvc).value_or(identity_->arch());
   convert::XferMode mode = convert::XferMode::image;
-  auto body = encode_body(p, peer_arch, mode);
-  if (!body) return body.error();
+  ntcs::Bytes packed;
+  auto image = encode_body(body, peer_arch, mode, packed);
+  if (!image) return image.error();
 
   wire::LcmHeader hdr;
   hdr.kind = wire::LcmKind::reply;
@@ -900,24 +953,39 @@ ntcs::Status LcmLayer::reply(const ReplyCtx& ctx, const Payload& p) {
   // not new application traffic), so trace stamping keys on the request's
   // context, never on the internal bit: a traced request gets a traced
   // reply riding the same trace ID back.
-  if (trace::enabled() && ctx.trace.valid()) {
+  const bool traced = trace::enabled() && ctx.trace.valid();
+  if (traced) {
     hdr.flags |= wire::kLcmFlagTraced;
     hdr.trace_hi = ctx.trace.hi;
     hdr.trace_lo = ctx.trace.lo;
     hdr.trace_parent = ctx.trace.span;
+  }
+  wire::HeaderBuf head;
+  head.push_lcm(hdr);
+  if (traced) {
     trace::ContextScope tscope(ctx.trace);
     const std::int64_t reply_start = trace::now_ns();
     // Replies ride the inbound circuit; if it died the requester recovers.
-    auto st = ip_.send(ctx.via, wire::encode_lcm(hdr, body.value()));
+    auto st = ip_.send(ctx.via, head, image.value());
     trace::record_child(ctx.trace, "lcm", "reply", identity_->name(),
                         reply_start, trace::now_ns());
     return st;
   }
   // Replies ride the inbound circuit; if it died the requester recovers.
-  return ip_.send(ctx.via, wire::encode_lcm(hdr, body.value()));
+  return ip_.send(ctx.via, head, image.value());
 }
 
 ntcs::Status LcmLayer::dgram(UAdd dst, const Payload& p, SendOptions opts) {
+  return dgram_body(dst, Body::of(p), opts);
+}
+
+ntcs::Status LcmLayer::dgram(UAdd dst, ntcs::BytesView image,
+                             SendOptions opts) {
+  return dgram_body(dst, Body{image}, opts);
+}
+
+ntcs::Status LcmLayer::dgram_body(UAdd dst, const Body& body,
+                                  SendOptions opts) {
   if (!dst.valid()) {
     return ntcs::Status(ntcs::Errc::bad_argument, "invalid destination");
   }
@@ -928,7 +996,7 @@ ntcs::Status LcmLayer::dgram(UAdd dst, const Payload& p, SendOptions opts) {
   static metrics::Counter& m_dgrams = metrics::counter("lcm.dgrams");
   count_app_send(m_dgrams, opts.internal);
   // Connectionless: one resolution attempt, no relocation recovery.
-  auto sent = send_message(dst, wire::LcmKind::dgram, 0, p, opts, 1);
+  auto sent = send_message(dst, wire::LcmKind::dgram, 0, body, opts, 1);
   if (!sent) return sent.error();
   return ntcs::Status::success();
 }
@@ -937,10 +1005,10 @@ ntcs::Result<Incoming> LcmLayer::receive(std::chrono::nanoseconds timeout) {
   return app_queue_.pop_for(timeout);
 }
 
-void LcmLayer::on_ip_event(IpEvent ev) {
+void LcmLayer::on_ip_event(const IpEvent& ev) {
   switch (ev.kind) {
     case IpEvent::Kind::message: {
-      auto decoded = wire::decode_lcm(ev.lcm_msg);
+      auto decoded = wire::decode_lcm_view(ev.lcm_msg);
       if (!decoded) {
         static metrics::Counter& m_decode_drops =
             metrics::counter("lcm.decode_drops");
@@ -949,13 +1017,12 @@ void LcmLayer::on_ip_event(IpEvent ev) {
                   decoded.error().to_string());
         return;
       }
-      wire::LcmMessage& m = decoded.value();
+      const wire::LcmView& m = decoded.value();
 
       // TAdd purge (§3.4): a peer that introduced itself with a TAdd is
       // re-keyed the moment a message carries its real UAdd.
       if (m.header.src.valid() && !m.header.src.is_temporary()) {
-        auto peer = ip_.nd().peer(ev.via.lvc);
-        if (peer && peer->uadd.is_temporary()) {
+        if (ip_.nd().peer_is_temporary(ev.via.lvc)) {
           ip_.nd().promote_peer(ev.via.lvc, m.header.src);
           ntcs::LockGuard lk(mu_);
           ++stats_.tadds_promoted;
@@ -966,9 +1033,11 @@ void LcmLayer::on_ip_event(IpEvent ev) {
         conns_[m.header.src] = ev.via;
       }
 
+      // The payload's one copy on the way up: out of the received buffer
+      // into the message handed to the application (or the Reply).
       Incoming in;
       in.src = m.header.src;
-      in.payload = std::move(m.payload);
+      in.payload.assign(m.payload.begin(), m.payload.end());
       in.mode = static_cast<convert::XferMode>(m.header.mode);
       in.src_arch = convert::arch_from_wire_id(m.header.src_arch)
                         .value_or(convert::Arch::vax780);
@@ -1049,7 +1118,9 @@ void LcmLayer::on_ip_event(IpEvent ev) {
             bh.req_id = req_id;
             bh.mode = convert::xfer_mode_wire_id(convert::XferMode::image);
             bh.src_arch = convert::arch_wire_id(identity_->arch());
-            if ((ip_.send(ev.via, wire::encode_lcm(bh, {}))).ok()) {
+            wire::HeaderBuf head;
+            head.push_lcm(bh);
+            if (ip_.send(ev.via, head, {}).ok()) {
               static metrics::Counter& m_busy =
                   metrics::counter("lcm.busy_frames");
               m_busy.inc();
@@ -1124,15 +1195,21 @@ void LcmLayer::on_ip_event(IpEvent ev) {
         }
       }
       for (auto& t : broken) {
+        // Re-check under the ticket lock: a fault retry inside the send
+        // path may have re-stamped the request onto a new circuit since
+        // the sweep above read it (stamp_circuit).
+        bool faulted = false;
         {
           ntcs::LockGuard sl(t->mu);
-          if (!t->result) {
+          if (!t->result && t->via_lvc.load() == ev.via.lvc &&
+              t->via_ivc.load() == ev.via.ivc) {
             t->result = ntcs::Error(ntcs::Errc::address_fault,
                                     "circuit closed while awaiting reply");
             t->cv.notify_all();
+            faulted = true;
           }
         }
-        release_window(*t);
+        if (faulted) release_window(*t);
       }
       return;
     }

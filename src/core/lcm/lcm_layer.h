@@ -205,13 +205,17 @@ class LcmLayer {
   /// Server addresses its replicas this way; no resolver could).
   void cache_destination(UAdd uadd, ResolvedDest dest);
 
-  /// Asynchronous send on a (virtual) conversation.
+  /// Asynchronous send on a (virtual) conversation. The BytesView forms
+  /// (here, reply() and dgram()) send representation-free bytes in image
+  /// mode straight from the caller's buffer.
   ntcs::Status send(UAdd dst, const Payload& p, SendOptions opts = {});
+  ntcs::Status send(UAdd dst, ntcs::BytesView image, SendOptions opts = {});
 
   /// Synchronous send/receive/reply: send a request, wait for the reply.
   /// Equivalent to request_async() + await().
   ntcs::Result<Reply> request(UAdd dst, const Payload& p,
                               SendOptions opts = {});
+  ntcs::Result<Reply> request(UAdd dst, Payload&& p, SendOptions opts = {});
 
   /// Pipelined request issue: stamps a fresh correlation ID, admits the
   /// request through the destination's send window (blocking fairly when
@@ -219,8 +223,11 @@ class LcmLayer {
   /// reply — so N independent requests ride one IVC concurrently. The
   /// request's deadline is fixed here (opts.timeout from now, with the
   /// configured default when zero) and covers admission, transmission,
-  /// retries, and the reply wait.
+  /// retries, and the reply wait. The ticket owns the payload for retries:
+  /// the Payload&& form moves it in, the const& form copies it once.
   ntcs::Result<RequestTicket> request_async(UAdd dst, const Payload& p,
+                                            SendOptions opts = {});
+  ntcs::Result<RequestTicket> request_async(UAdd dst, Payload&& p,
                                             SendOptions opts = {});
 
   /// Redeem a ticket: wait for the reply (or the ticket's deadline). If
@@ -233,15 +240,18 @@ class LcmLayer {
 
   /// Answer a received request.
   ntcs::Status reply(const ReplyCtx& ctx, const Payload& p);
+  ntcs::Status reply(const ReplyCtx& ctx, ntcs::BytesView image);
 
   /// Connectionless protocol: best effort, no relocation recovery.
   ntcs::Status dgram(UAdd dst, const Payload& p, SendOptions opts = {});
+  ntcs::Status dgram(UAdd dst, ntcs::BytesView image, SendOptions opts = {});
 
   /// Blocking receive of the next application-bound message.
   ntcs::Result<Incoming> receive(std::chrono::nanoseconds timeout);
 
-  /// Pump integration (never blocks).
-  void on_ip_event(IpEvent ev);
+  /// Pump integration (never blocks). A message is decoded in place; its
+  /// payload is copied once, into the Incoming or Reply it becomes.
+  void on_ip_event(const IpEvent& ev);
 
   /// Fail all waiters and close the receive queue.
   void shutdown();
@@ -270,18 +280,37 @@ class LcmLayer {
   Stats stats() const;
 
  private:
+  /// An outbound body as the send path sees it: a view of the image plus
+  /// the pack routine, if any — never a copy of the caller's bytes.
+  struct Body {
+    ntcs::BytesView image;
+    const std::function<ntcs::Result<ntcs::Bytes>()>* pack = nullptr;
+
+    static Body of(const Payload& p) {
+      return Body{p.image, p.pack ? &p.pack : nullptr};
+    }
+  };
+
   /// Follow the forwarding-address table (§3.5).
   UAdd chase_forward(UAdd dst);
   ntcs::Result<ResolvedDest> resolved_for(UAdd dst);
   /// Core send with circuit establishment and address-fault recovery.
-  /// On success returns the IVC used.
+  /// On success returns the IVC used. A request's ticket (`stamp`) is
+  /// stamped with each circuit before the frame leaves on it.
   ntcs::Result<IvcHandle> send_message(UAdd dst, wire::LcmKind kind,
-                                       std::uint32_t req_id, const Payload& p,
+                                       std::uint32_t req_id, const Body& body,
                                        const SendOptions& opts,
-                                       int fault_retries);
-  ntcs::Result<ntcs::Bytes> encode_body(const Payload& p,
-                                        convert::Arch peer_arch,
-                                        convert::XferMode& mode_out);
+                                       int fault_retries,
+                                       PendingRequest* stamp = nullptr);
+  /// The wire image of a body for a peer of `peer_arch`: a view of the
+  /// caller's image, or of `packed` when the pack routine ran.
+  ntcs::Result<ntcs::BytesView> encode_body(const Body& body,
+                                            convert::Arch peer_arch,
+                                            convert::XferMode& mode_out,
+                                            ntcs::Bytes& packed);
+  ntcs::Status send_body(UAdd dst, const Body& body, SendOptions opts);
+  ntcs::Status reply_body(const ReplyCtx& ctx, const Body& body);
+  ntcs::Status dgram_body(UAdd dst, const Body& body, SendOptions opts);
   /// (Re-)issue a pending request: window admission, fresh correlation ID,
   /// table insert, send.
   ntcs::Status issue(const RequestTicket& t);

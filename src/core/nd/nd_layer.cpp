@@ -104,7 +104,7 @@ ntcs::Result<LvcId> NdLayer::open(const PhysAddr& dst) {
     intro.src_uadd = identity_->uadd();
     intro.src_arch = convert::arch_wire_id(identity_->arch());
     intro.src_phys = port_->phys();
-    auto sent = send_raw(lvc, wire::encode_nd_open(intro));
+    auto sent = send_frames(lvc, nullptr, {}, wire::encode_nd_open(intro));
     if (!sent.ok()) {
       last = sent.error();
       {
@@ -156,36 +156,45 @@ ntcs::Result<LvcId> NdLayer::open(const PhysAddr& dst) {
 }
 
 ntcs::Status NdLayer::send(LvcId lvc, ntcs::BytesView ip_envelope) {
+  wire::HeaderBuf head;
+  return send(lvc, head, ip_envelope);
+}
+
+ntcs::Status NdLayer::send(LvcId lvc, wire::HeaderBuf& head,
+                           ntcs::BytesView body) {
   if (!port_) {
     return ntcs::Status(ntcs::Errc::bad_argument, "ND-Layer not bound");
   }
+  std::shared_ptr<TxState> tx;
   {
     ntcs::LockGuard lk(mu_);
     auto it = lvcs_.find(lvc);
     if (it == lvcs_.end()) {
       return ntcs::Status(ntcs::Errc::address_fault, "LVC is gone");
     }
+    tx = it->second.tx;
     ++stats_.messages_sent;
   }
   static metrics::Counter& m_sent = metrics::counter("nd.msgs_sent");
   m_sent.inc();
-  return send_raw(lvc, wire::encode_nd_payload(ip_envelope));
+  head.push_nd_payload();
+  return send_frames(lvc, std::move(tx), head.view(), body);
 }
 
-ntcs::Status NdLayer::send_raw(LvcId lvc, ntcs::BytesView nd_message) {
+ntcs::Status NdLayer::send_frames(LvcId lvc, std::shared_ptr<TxState> tx,
+                                  ntcs::BytesView head, ntcs::BytesView body) {
   // Hold the circuit's transmit lock across all fragments so concurrent
   // senders on the same LVC cannot interleave mid-message, and stamp each
   // fragment with the circuit's running frame number.
-  std::shared_ptr<TxState> tx_state;
-  {
+  if (!tx) {
     ntcs::LockGuard lk(mu_);
     auto it = lvcs_.find(lvc);
-    if (it != lvcs_.end()) tx_state = it->second.tx;
+    if (it != lvcs_.end()) tx = it->second.tx;
   }
-  if (!tx_state) {
+  if (!tx) {
     // The circuit vanished between lookup and here (or this is the open
     // handshake racing creation); private state preserves the invariant.
-    tx_state = std::make_shared<TxState>();
+    tx = std::make_shared<TxState>();
   }
   static metrics::Counter& m_no_copy =
       metrics::counter("nd.frag_copies_avoided");
@@ -194,15 +203,15 @@ ntcs::Status NdLayer::send_raw(LvcId lvc, ntcs::BytesView nd_message) {
   const std::int64_t frag_start = tctx.valid() ? trace::now_ns() : 0;
   std::size_t frames = 0;
   {
-    ntcs::LockGuard tx(tx_state->mu);
-    // Zero-copy fragmentation: each frame is a small stack-encoded header
-    // plus a view into the original message, gathered by the IPCS into the
-    // delivery buffer. No per-fragment Bytes is ever materialised.
-    for (const wire::FragSpan& s :
-         wire::fragment_spans(nd_message, port_->mtu(), tx_state->seq)) {
-      std::uint8_t hdr[wire::kFragHeaderMax];
-      const std::size_t hn = wire::encode_frag_header(s, hdr);
-      auto st = port_->send(lvc, ntcs::BytesView(hdr, hn), s.chunk);
+    ntcs::LockGuard tx_lk(tx->mu);
+    // Zero-copy fragmentation: each frame is a stack-encoded header (the
+    // fragment word plus any of the message's own header bytes) and a view
+    // of the payload, gathered by the IPCS into its frame buffer. No
+    // per-layer or per-fragment Bytes is ever materialised.
+    wire::FrameCursor cursor(head, body, port_->mtu(), tx->seq);
+    wire::Frame f;
+    while (cursor.next(f)) {
+      auto st = port_->send(lvc, f.header(), f.body);
       if (!st.ok()) {
         // Normalise the two IPCSs' failure vocabulary to an address fault,
         // except for conditions the layers above treat specially.
@@ -294,13 +303,14 @@ ntcs::Result<std::optional<NdEvent>> NdLayer::handle_delivery(IpcsDelivery d) {
       static metrics::Counter& m_resync =
           metrics::counter("nd.frames_resynced");
       ntcs::Bytes complete;
+      std::size_t offset = 0;
       {
         ntcs::LockGuard lk(mu_);
         auto it = lvcs_.find(d.chan);
         if (it == lvcs_.end()) {
           return std::optional<NdEvent>{};  // stray frame after close
         }
-        auto fed = it->second.reassembler.feed(d.payload);
+        auto fed = it->second.reassembler.feed_in_place(d.payload);
         if (!fed) {
           log_.warn("dropping malformed frame: " + fed.error().to_string());
           return std::optional<NdEvent>{};
@@ -333,26 +343,55 @@ ntcs::Result<std::optional<NdEvent>> NdLayer::handle_delivery(IpcsDelivery d) {
           }
         }
         if (!fed.value().complete) return std::optional<NdEvent>{};
-        complete = it->second.reassembler.take();
+        if (fed.value().in_frame) {
+          // A one-frame message: the delivered frame is adopted as the
+          // message buffer, past its fragment header.
+          complete = std::move(d.payload);
+          offset = wire::kFragHeaderMax;
+        } else {
+          complete = it->second.reassembler.take();
+        }
       }
       if (trace::enabled()) {
         // Receive side has no thread-local context: peek it out of the
         // reassembled frame (ND prologue -> IP data -> LCM trace words).
-        if (auto tw = wire::peek_nd_trace(complete)) {
+        const ntcs::BytesView msg = ntcs::BytesView(complete).subspan(offset);
+        if (auto tw = wire::peek_nd_trace(msg)) {
           trace::record_event(
               trace::TraceContext{tw->hi, tw->lo, tw->parent}, "nd",
               "reassemble", identity_->name(),
-              static_cast<std::uint32_t>(complete.size()));
+              static_cast<std::uint32_t>(msg.size()));
         }
       }
-      return handle_message(d.chan, std::move(complete));
+      return handle_message(d.chan, std::move(complete), offset);
     }
   }
   return std::optional<NdEvent>{};
 }
 
-ntcs::Result<std::optional<NdEvent>> NdLayer::handle_message(LvcId lvc,
-                                                             ntcs::Bytes msg) {
+ntcs::Result<std::optional<NdEvent>> NdLayer::handle_message(
+    LvcId lvc, ntcs::Bytes buffer, std::size_t offset) {
+  const ntcs::BytesView msg = ntcs::BytesView(buffer).subspan(offset);
+  auto view = wire::decode_nd_view(msg);
+  if (!view) {
+    log_.warn("dropping undecodable ND message: " + view.error().to_string());
+    return std::optional<NdEvent>{};
+  }
+  if (view.value().kind == wire::NdKind::payload) {
+    {
+      ntcs::LockGuard lk(mu_);
+      ++stats_.messages_received;
+    }
+    static metrics::Counter& m_recv = metrics::counter("nd.msgs_received");
+    m_recv.inc();
+    NdEvent ev;
+    ev.kind = NdEvent::Kind::message;
+    ev.lvc = lvc;
+    ev.buffer = std::move(buffer);
+    ev.offset = offset + wire::kNdPrologueSize;
+    return std::optional<NdEvent>{std::move(ev)};
+  }
+  // The open exchange carries variable fields: the reference decoder.
   auto decoded = wire::decode_nd(msg);
   if (!decoded) {
     log_.warn("dropping undecodable ND message: " +
@@ -381,7 +420,7 @@ ntcs::Result<std::optional<NdEvent>> NdLayer::handle_message(LvcId lvc,
       wire::NdOpenAck ack;
       ack.uadd = identity_->uadd();
       ack.arch = convert::arch_wire_id(identity_->arch());
-      (void)send_raw(lvc, wire::encode_nd_open_ack(ack));
+      (void)send_frames(lvc, nullptr, {}, wire::encode_nd_open_ack(ack));
       NdEvent ev;
       ev.kind = NdEvent::Kind::opened;
       ev.lvc = lvc;
@@ -409,19 +448,8 @@ ntcs::Result<std::optional<NdEvent>> NdLayer::handle_message(LvcId lvc,
       }
       return std::optional<NdEvent>{};
     }
-    case wire::NdKind::payload: {
-      {
-        ntcs::LockGuard lk(mu_);
-        ++stats_.messages_received;
-      }
-      static metrics::Counter& m_recv = metrics::counter("nd.msgs_received");
-      m_recv.inc();
-      NdEvent ev;
-      ev.kind = NdEvent::Kind::message;
-      ev.lvc = lvc;
-      ev.message = std::move(m.body);
-      return std::optional<NdEvent>{std::move(ev)};
-    }
+    case wire::NdKind::payload:
+      break;  // handled above
   }
   return std::optional<NdEvent>{};
 }
@@ -431,6 +459,20 @@ std::optional<PeerInfo> NdLayer::peer(LvcId lvc) const {
   auto it = lvcs_.find(lvc);
   if (it == lvcs_.end() || !it->second.open_complete) return std::nullopt;
   return it->second.peer;
+}
+
+std::optional<convert::Arch> NdLayer::peer_arch(LvcId lvc) const {
+  ntcs::LockGuard lk(mu_);
+  auto it = lvcs_.find(lvc);
+  if (it == lvcs_.end() || !it->second.open_complete) return std::nullopt;
+  return it->second.peer.arch;
+}
+
+bool NdLayer::peer_is_temporary(LvcId lvc) const {
+  ntcs::LockGuard lk(mu_);
+  auto it = lvcs_.find(lvc);
+  return it != lvcs_.end() && it->second.open_complete &&
+         it->second.peer.uadd.is_temporary();
 }
 
 void NdLayer::promote_peer(LvcId lvc, UAdd real) {

@@ -53,7 +53,15 @@ struct NdEvent {
   };
   Kind kind;
   LvcId lvc = 0;
-  ntcs::Bytes message;  // kind == message
+  /// kind == message: the received buffer — a single-frame message's
+  /// delivered frame, or the reassembled one — and where the IP envelope
+  /// starts in it. The layers above decode views of it in place.
+  ntcs::Bytes buffer;
+  std::size_t offset = 0;
+
+  ntcs::BytesView message() const {
+    return ntcs::BytesView(buffer).subspan(offset);
+  }
 };
 
 /// Cached per-peer information from the channel-open exchange.
@@ -96,6 +104,11 @@ class NdLayer {
   /// Send one message (fragmenting to the IPCS MTU). Thread-safe,
   /// non-blocking.
   ntcs::Status send(LvcId lvc, ntcs::BytesView ip_envelope);
+  /// The gather form: the IP envelope is `head` (the headers the layers
+  /// above encoded in place) followed by `body`. The ND prologue is pushed
+  /// onto `head`, and each frame is gathered from the two straight into
+  /// the substrate — the payload's one copy on the way out.
+  ntcs::Status send(LvcId lvc, wire::HeaderBuf& head, ntcs::BytesView body);
 
   /// Close an LVC; the peer sees an NdEvent::closed.
   ntcs::Status close(LvcId lvc);
@@ -108,6 +121,12 @@ class NdLayer {
 
   /// Peer info learned during the open exchange.
   std::optional<PeerInfo> peer(LvcId lvc) const;
+  /// The peer's machine type alone (the per-message conversion decision),
+  /// without copying its physical address.
+  std::optional<convert::Arch> peer_arch(LvcId lvc) const;
+  /// Is the peer still known by a TAdd (§3.4)? False when the channel is
+  /// gone or not yet open.
+  bool peer_is_temporary(LvcId lvc) const;
 
   /// Replace a peer's TAdd with its real UAdd (§3.4 purge). No-op if the
   /// channel is gone.
@@ -136,9 +155,10 @@ class NdLayer {
     std::uint64_t tadds_promoted = 0;
     std::uint64_t frames_deduped = 0;   // duplicate/stale frames suppressed
     std::uint64_t frames_resynced = 0;  // reassembly resyncs after a gap
-    // Frames sent as header+chunk gathers straight from the message buffer
-    // — each one a per-fragment Bytes materialisation that no longer
-    // happens.
+    // Frames gathered straight from the encoded headers and the caller's
+    // payload into the substrate — each one a per-frame Bytes
+    // materialisation (and, for a data message, a per-layer copy of its
+    // payload) that never happens.
     std::uint64_t frag_copies_avoided = 0;
   };
   Stats stats() const;
@@ -172,9 +192,14 @@ class NdLayer {
   };
 
   ntcs::Result<std::optional<NdEvent>> handle_delivery(IpcsDelivery d);
+  /// One complete ND message: buffer[offset..].
   ntcs::Result<std::optional<NdEvent>> handle_message(LvcId lvc,
-                                                      ntcs::Bytes msg);
-  ntcs::Status send_raw(LvcId lvc, ntcs::BytesView nd_message);
+                                                      ntcs::Bytes buffer,
+                                                      std::size_t offset);
+  /// Transmit one ND message, `head ++ body`, on the circuit's frame
+  /// stream. `tx` is the circuit's transmit state (null: look it up).
+  ntcs::Status send_frames(LvcId lvc, std::shared_ptr<TxState> tx,
+                           ntcs::BytesView head, ntcs::BytesView body);
 
   IpcsBackend& backend_;
   std::string local_name_;

@@ -56,6 +56,7 @@ void Node::pump_main(const std::stop_token& st) {
   // stall_after gives the watchdog ~20 missed iterations of slack before
   // declaring the dispatch loop stalled.
   health::Heartbeat& hb = health::heartbeat("pump." + cfg_.name);
+  const IpEventSink up = [this](const IpEvent& e) { lcm_.on_ip_event(e); };
   while (!st.stop_requested()) {
     hb.beat();
     auto ev = nd_.pump(50ms);
@@ -64,9 +65,7 @@ void Node::pump_main(const std::stop_token& st) {
       break;  // endpoint closed: module is going away
     }
     if (!ev.value()) continue;  // internal to the ND-Layer
-    for (IpEvent& ipev : ip_.on_nd_event(*ev.value())) {
-      lcm_.on_ip_event(std::move(ipev));
-    }
+    ip_.on_nd_event(*ev.value(), up);
   }
 }
 

@@ -1,5 +1,8 @@
 #include "core/wire/frames.h"
 
+#include <algorithm>
+#include <cassert>
+
 #include "convert/mode.h"
 #include "convert/shift.h"
 
@@ -28,14 +31,44 @@ ntcs::Result<std::string> get_string(ShiftReader& r) {
   return r.get_raw_string(len.value());
 }
 
-/// Common prologue of every ND message.
-ntcs::Bytes nd_prologue(NdKind kind) {
+/// Common prologue of every ND message; `body_hint` sizes the buffer for
+/// what the caller appends next.
+ntcs::Bytes nd_prologue(NdKind kind, std::size_t body_hint = 0) {
   ntcs::Bytes out;
+  out.reserve(kNdPrologueSize + body_hint);
   ShiftWriter w(out);
   w.put_u32(kMagic);
   w.put_u32(kVersion);
   w.put_u32(static_cast<std::uint32_t>(kind));
   return out;
+}
+
+// Shift mode by hand (MSB first) at fixed offsets, matching ShiftWriter's
+// and ShiftReader's stream layout: the in-place encoders and the view
+// decoders.
+void put_be32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 24);
+  p[1] = static_cast<std::uint8_t>(v >> 16);
+  p[2] = static_cast<std::uint8_t>(v >> 8);
+  p[3] = static_cast<std::uint8_t>(v);
+}
+
+void put_be64(std::uint8_t* p, std::uint64_t v) {
+  put_be32(p, static_cast<std::uint32_t>(v >> 32));
+  put_be32(p + 4, static_cast<std::uint32_t>(v));
+}
+
+std::uint32_t get_be32(const std::uint8_t* p) {
+  return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
+         (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
+}
+
+std::uint64_t get_be64(const std::uint8_t* p) {
+  return (std::uint64_t{get_be32(p)} << 32) | get_be32(p + 4);
+}
+
+ntcs::Error underrun() {
+  return ntcs::Error(ntcs::Errc::bad_message, "shift stream underrun");
 }
 
 }  // namespace
@@ -56,58 +89,28 @@ std::uint32_t frag_len(std::uint32_t word) { return word & kFragLenMask; }
 
 std::uint32_t frag_seq(std::uint32_t word) { return (word >> 24) & kFragSeqMask; }
 
-std::size_t encode_frag_header(const FragSpan& s,
-                               std::uint8_t out[kFragHeaderMax]) {
-  // Shift mode by hand (MSB first), matching ShiftWriter's stream layout.
-  out[0] = static_cast<std::uint8_t>(s.word >> 24);
-  out[1] = static_cast<std::uint8_t>(s.word >> 16);
-  out[2] = static_cast<std::uint8_t>(s.word >> 8);
-  out[3] = static_cast<std::uint8_t>(s.word);
-  if (!s.first) return 4;
-  out[4] = static_cast<std::uint8_t>(s.total >> 24);
-  out[5] = static_cast<std::uint8_t>(s.total >> 16);
-  out[6] = static_cast<std::uint8_t>(s.total >> 8);
-  out[7] = static_cast<std::uint8_t>(s.total);
-  return 8;
-}
-
-std::vector<FragSpan> fragment_spans(ntcs::BytesView msg, std::size_t mtu,
-                                     std::uint32_t& seq) {
-  std::vector<FragSpan> spans;
-  const std::uint32_t total = static_cast<std::uint32_t>(msg.size());
-  std::size_t off = 0;
-  bool first = true;
-  do {
-    const std::size_t hdr = first ? 8 : 4;
-    const std::size_t chunk_max = mtu > hdr ? mtu - hdr : 1;
-    const std::size_t n =
-        msg.size() - off < chunk_max ? msg.size() - off : chunk_max;
-    FragSpan s;
-    s.first = first;
-    s.total = total;
-    s.word = make_frag_word(/*more=*/off + n < msg.size(),
-                            static_cast<std::uint32_t>(n), seq, first);
-    seq = (seq + 1) & kFragSeqMask;
-    s.chunk = msg.subspan(off, n);
-    spans.push_back(s);
-    off += n;
-    first = false;
-  } while (off < msg.size());
-  return spans;
-}
-
 std::vector<ntcs::Bytes> fragment(ntcs::BytesView msg, std::size_t mtu,
                                   std::uint32_t& seq) {
   std::vector<ntcs::Bytes> frames;
-  for (const FragSpan& s : fragment_spans(msg, mtu, seq)) {
-    std::uint8_t hdr[kFragHeaderMax];
-    const std::size_t hn = encode_frag_header(s, hdr);
+  const auto total = static_cast<std::uint32_t>(msg.size());
+  std::size_t off = 0;
+  bool first = true;
+  do {
+    const std::size_t hdr = first ? kFragHeaderMax : kFragHeaderSize;
+    const std::size_t n =
+        std::min(msg.size() - off, mtu > hdr ? mtu - hdr : std::size_t{1});
     ntcs::Bytes frame;
-    frame.reserve(hn + s.chunk.size());
-    ntcs::append(frame, ntcs::BytesView(hdr, hn));
-    ntcs::append(frame, s.chunk);
+    frame.reserve(hdr + n);
+    ShiftWriter w(frame);
+    w.put_u32(make_frag_word(/*more=*/off + n < msg.size(),
+                             static_cast<std::uint32_t>(n), seq, first));
+    if (first) w.put_u32(total);
+    w.put_raw(msg.subspan(off, n));
+    seq = (seq + 1) & kFragSeqMask;
     frames.push_back(std::move(frame));
-  }
+    off += n;
+    first = false;
+  } while (off < msg.size());
   return frames;
 }
 
@@ -117,6 +120,16 @@ std::vector<ntcs::Bytes> fragment(ntcs::BytesView msg, std::size_t mtu) {
 }
 
 ntcs::Result<Reassembler::FeedResult> Reassembler::feed(ntcs::BytesView frame) {
+  return feed_impl(frame, /*in_place=*/false);
+}
+
+ntcs::Result<Reassembler::FeedResult> Reassembler::feed_in_place(
+    ntcs::BytesView frame) {
+  return feed_impl(frame, /*in_place=*/true);
+}
+
+ntcs::Result<Reassembler::FeedResult> Reassembler::feed_impl(
+    ntcs::BytesView frame, bool in_place) {
   ShiftReader r(frame);
   auto word = r.get_u32();
   if (!word) return word.error();
@@ -160,6 +173,18 @@ ntcs::Result<Reassembler::FeedResult> Reassembler::feed(ntcs::BytesView frame) {
       acc_.clear();
       res.resynced = true;
     }
+    if (in_place && !frag_more(word.value())) {
+      // The whole message is this one frame: leave it where it lies.
+      have_head_ = false;
+      if (len != total) {
+        // A corrupted total-length field (see the end-of-message check).
+        res.resynced = true;
+        return res;
+      }
+      res.complete = true;
+      res.in_frame = true;
+      return res;
+    }
     have_head_ = true;
     expect_total_ = total;
     // The whole message's storage, reserved once; every chunk after this
@@ -199,7 +224,7 @@ ntcs::Bytes Reassembler::take() {
 // ---------------------------------------------------------------- ND layer
 
 ntcs::Bytes encode_nd_open(const NdOpen& m) {
-  ntcs::Bytes out = nd_prologue(NdKind::open);
+  ntcs::Bytes out = nd_prologue(NdKind::open, 16 + m.src_phys.size());
   ShiftWriter w(out);
   w.put_u64(m.src_uadd.raw());
   w.put_u32(m.src_arch);
@@ -208,7 +233,7 @@ ntcs::Bytes encode_nd_open(const NdOpen& m) {
 }
 
 ntcs::Bytes encode_nd_open_ack(const NdOpenAck& m) {
-  ntcs::Bytes out = nd_prologue(NdKind::open_ack);
+  ntcs::Bytes out = nd_prologue(NdKind::open_ack, 12);
   ShiftWriter w(out);
   w.put_u64(m.uadd.raw());
   w.put_u32(m.arch);
@@ -216,8 +241,7 @@ ntcs::Bytes encode_nd_open_ack(const NdOpenAck& m) {
 }
 
 ntcs::Bytes encode_nd_payload(ntcs::BytesView ip_envelope) {
-  ntcs::Bytes out = nd_prologue(NdKind::payload);
-  out.reserve(out.size() + ip_envelope.size());
+  ntcs::Bytes out = nd_prologue(NdKind::payload, ip_envelope.size());
   ntcs::append(out, ip_envelope);
   return out;
 }
@@ -276,8 +300,10 @@ ntcs::Result<NdMessage> decode_nd(ntcs::BytesView msg) {
 
 namespace {
 
-ntcs::Bytes ip_prologue(IpKind kind, std::uint64_t ivc) {
+ntcs::Bytes ip_prologue(IpKind kind, std::uint64_t ivc,
+                        std::size_t body_hint = 0) {
   ntcs::Bytes out;
+  out.reserve(kIpPrologueSize + body_hint);
   ShiftWriter w(out);
   w.put_u32(static_cast<std::uint32_t>(kind));
   w.put_u64(ivc);
@@ -287,14 +313,17 @@ ntcs::Bytes ip_prologue(IpKind kind, std::uint64_t ivc) {
 }  // namespace
 
 ntcs::Bytes encode_ip_data(std::uint64_t ivc, ntcs::BytesView lcm_msg) {
-  ntcs::Bytes out = ip_prologue(IpKind::data, ivc);
-  out.reserve(out.size() + lcm_msg.size());
+  ntcs::Bytes out = ip_prologue(IpKind::data, ivc, lcm_msg.size());
   ntcs::append(out, lcm_msg);
   return out;
 }
 
 ntcs::Bytes encode_ip_extend(std::uint64_t ivc, const ExtendBody& b) {
-  ntcs::Bytes out = ip_prologue(IpKind::extend, ivc);
+  std::size_t hint = 12;
+  for (const RouteHop& hop : b.route) {
+    hint += 8 + hop.net.size() + hop.phys.size();
+  }
+  ntcs::Bytes out = ip_prologue(IpKind::extend, ivc, hint);
   ShiftWriter w(out);
   w.put_u64(b.final_uadd.raw());
   w.put_u32(static_cast<std::uint32_t>(b.route.size()));
@@ -311,7 +340,7 @@ ntcs::Bytes encode_ip_extend_ok(std::uint64_t ivc) {
 
 ntcs::Bytes encode_ip_extend_fail(std::uint64_t ivc, std::uint32_t errc,
                                   const std::string& text) {
-  ntcs::Bytes out = ip_prologue(IpKind::extend_fail, ivc);
+  ntcs::Bytes out = ip_prologue(IpKind::extend_fail, ivc, 8 + text.size());
   ShiftWriter w(out);
   w.put_u32(errc);
   put_string(w, text);
@@ -386,6 +415,7 @@ ntcs::Bytes encode_lcm(const LcmHeader& h, ntcs::BytesView payload) {
   // convert.mode.* breakdown covers all three modes.
   convert::note_mode(convert::XferMode::shift);
   ntcs::Bytes out;
+  out.reserve(kLcmHeaderMax + payload.size());
   ShiftWriter w(out);
   w.put_u32(static_cast<std::uint32_t>(h.kind));
   w.put_u32(h.flags);
@@ -501,6 +531,138 @@ std::optional<LcmTraceWords> peek_nd_trace(ntcs::BytesView nd_msg) {
   }
   if (!nr.get_u64()) return std::nullopt;  // ivc
   return peek_lcm_trace(nr.rest());
+}
+
+// ---------------------------------------------------------------- gather send
+
+std::uint8_t* HeaderBuf::prepend(std::size_t n) {
+  assert(n <= start_ && "HeaderBuf holds one LCM, IP and ND header");
+  start_ -= n;
+  return buf_ + start_;
+}
+
+void HeaderBuf::push_lcm(const LcmHeader& h) {
+  // Every NTCS header travels shift-encoded (§5.2); counted as encode_lcm
+  // counts it.
+  convert::note_mode(convert::XferMode::shift);
+  const bool traced = (h.flags & kLcmFlagTraced) != 0;
+  std::uint8_t* p = prepend(traced ? kLcmHeaderMax : kLcmHeaderSize);
+  put_be32(p, static_cast<std::uint32_t>(h.kind));
+  put_be32(p + 4, h.flags);
+  put_be64(p + 8, h.src.raw());
+  put_be64(p + 16, h.dst.raw());
+  put_be32(p + 24, h.req_id);
+  put_be32(p + 28, h.mode);
+  put_be32(p + 32, h.src_arch);
+  if (traced) {
+    put_be64(p + 36, h.trace_hi);
+    put_be64(p + 44, h.trace_lo);
+    put_be64(p + 52, h.trace_parent);
+  }
+}
+
+void HeaderBuf::push_ip_data(std::uint64_t ivc) {
+  std::uint8_t* p = prepend(kIpPrologueSize);
+  put_be32(p, static_cast<std::uint32_t>(IpKind::data));
+  put_be64(p + 4, ivc);
+}
+
+void HeaderBuf::push_nd_payload() {
+  std::uint8_t* p = prepend(kNdPrologueSize);
+  put_be32(p, kMagic);
+  put_be32(p + 4, kVersion);
+  put_be32(p + 8, static_cast<std::uint32_t>(NdKind::payload));
+}
+
+FrameCursor::FrameCursor(ntcs::BytesView head, ntcs::BytesView body,
+                         std::size_t mtu, std::uint32_t& seq)
+    : head_(head), body_(body), mtu_(mtu), seq_(seq) {
+  assert(head.size() <= HeaderBuf::kCapacity);
+}
+
+bool FrameCursor::next(Frame& f) {
+  const std::size_t total = head_.size() + body_.size();
+  if (!first_ && off_ >= total) return false;  // an empty message is 1 frame
+  const std::size_t hdr = first_ ? kFragHeaderMax : kFragHeaderSize;
+  const std::size_t n =
+      std::min(total - off_, mtu_ > hdr ? mtu_ - hdr : std::size_t{1});
+  const std::size_t end = off_ + n;
+  put_be32(f.head, make_frag_word(/*more=*/end < total,
+                                  static_cast<std::uint32_t>(n), seq_, first_));
+  if (first_) put_be32(f.head + 4, static_cast<std::uint32_t>(total));
+  f.head_len = hdr;
+  seq_ = (seq_ + 1) & kFragSeqMask;
+  // Message-header bytes in this frame's range join the frame header; the
+  // rest of the range is a view of the payload.
+  if (off_ < head_.size()) {
+    const std::size_t k = std::min(end, head_.size()) - off_;
+    std::copy_n(head_.data() + off_, k, f.head + f.head_len);
+    f.head_len += k;
+  }
+  const std::size_t b0 = std::max(off_, head_.size()) - head_.size();
+  const std::size_t b1 = end > head_.size() ? end - head_.size() : b0;
+  f.body = body_.subspan(b0, b1 - b0);
+  off_ = end;
+  first_ = false;
+  return true;
+}
+
+// ---------------------------------------------------------------- view decode
+
+ntcs::Result<NdView> decode_nd_view(ntcs::BytesView msg) {
+  if (msg.size() < kNdPrologueSize) return underrun();
+  if (get_be32(msg.data()) != kMagic) {
+    return ntcs::Error(ntcs::Errc::bad_message, "bad magic");
+  }
+  if (get_be32(msg.data() + 4) != kVersion) {
+    return ntcs::Error(ntcs::Errc::bad_message, "protocol version mismatch");
+  }
+  const std::uint32_t kind = get_be32(msg.data() + 8);
+  if (kind < static_cast<std::uint32_t>(NdKind::open) ||
+      kind > static_cast<std::uint32_t>(NdKind::payload)) {
+    return ntcs::Error(ntcs::Errc::bad_message, "unknown ND message kind");
+  }
+  return NdView{static_cast<NdKind>(kind), msg.subspan(kNdPrologueSize)};
+}
+
+ntcs::Result<IpView> decode_ip_view(ntcs::BytesView envelope) {
+  if (envelope.size() < kIpPrologueSize) return underrun();
+  const std::uint32_t kind = get_be32(envelope.data());
+  if (kind < static_cast<std::uint32_t>(IpKind::data) ||
+      kind > static_cast<std::uint32_t>(IpKind::teardown)) {
+    return ntcs::Error(ntcs::Errc::bad_message, "unknown IP envelope kind");
+  }
+  return IpView{static_cast<IpKind>(kind), get_be64(envelope.data() + 4),
+                envelope.subspan(kIpPrologueSize)};
+}
+
+ntcs::Result<LcmView> decode_lcm_view(ntcs::BytesView msg) {
+  if (msg.size() < kLcmHeaderSize) return underrun();
+  const std::uint8_t* p = msg.data();
+  const std::uint32_t kind = get_be32(p);
+  if (kind < static_cast<std::uint32_t>(LcmKind::data) ||
+      kind > static_cast<std::uint32_t>(LcmKind::dgram)) {
+    return ntcs::Error(ntcs::Errc::bad_message, "unknown LCM message kind");
+  }
+  LcmView out;
+  LcmHeader& h = out.header;
+  h.kind = static_cast<LcmKind>(kind);
+  h.flags = get_be32(p + 4);
+  h.src = UAdd::from_raw(get_be64(p + 8));
+  h.dst = UAdd::from_raw(get_be64(p + 16));
+  h.req_id = get_be32(p + 24);
+  h.mode = get_be32(p + 28);
+  h.src_arch = get_be32(p + 32);
+  std::size_t size = kLcmHeaderSize;
+  if ((h.flags & kLcmFlagTraced) != 0) {
+    if (msg.size() < kLcmHeaderMax) return underrun();
+    h.trace_hi = get_be64(p + 36);
+    h.trace_lo = get_be64(p + 44);
+    h.trace_parent = get_be64(p + 52);
+    size = kLcmHeaderMax;
+  }
+  out.payload = msg.subspan(size);
+  return out;
 }
 
 }  // namespace ntcs::core::wire

@@ -62,38 +62,16 @@ bool frag_first(std::uint32_t word);
 std::uint32_t frag_len(std::uint32_t word);
 std::uint32_t frag_seq(std::uint32_t word);
 
-/// One MTU-sized frame of a message, described without copying the chunk:
-/// the header words plus a view into the original message. The frame on
-/// the wire is [frag word][chunk] — or, when `first`,
-/// [frag word][total len][chunk].
-struct FragSpan {
-  std::uint32_t word = 0;
-  std::uint32_t total = 0;  // whole-message length; meaningful when first
-  bool first = false;
-  ntcs::BytesView chunk;
-
-  std::size_t header_size() const { return first ? 8 : 4; }
-};
-
-/// Largest frame header a FragSpan can need.
+/// Frame header sizes: every frame starts with the fragment word; a
+/// message's first frame adds the total-length word.
+inline constexpr std::size_t kFragHeaderSize = 4;
 inline constexpr std::size_t kFragHeaderMax = 8;
 
-/// Serialise a span's frame header (shift mode: MSB first) into `out`;
-/// returns the number of bytes written (4 or 8). The frame on the wire is
-/// this header followed by the span's chunk bytes.
-std::size_t encode_frag_header(const FragSpan& s,
-                               std::uint8_t out[kFragHeaderMax]);
-
-/// Split a message into MTU-sized frame descriptors whose chunks alias
-/// `msg` — the zero-copy fragmentation path. `seq` is the running
-/// per-circuit frame counter; it is stamped into each frame and advanced
-/// past them. `msg` must outlive the spans.
-std::vector<FragSpan> fragment_spans(ntcs::BytesView msg, std::size_t mtu,
-                                     std::uint32_t& seq);
-
-/// Split a message into MTU-sized IPCS frames (each a materialised
-/// [header][chunk] buffer). Kept for tests and single-frame encodings; the
-/// ND-Layer's hot path sends fragment_spans() directly.
+/// Split a message into MTU-sized IPCS frames, each a materialised
+/// [frag word][total len, first frame only][chunk] buffer. The reference
+/// fragmenter: the ND-Layer transmits through FrameCursor (below), which
+/// must emit exactly these bytes. `seq` is the running per-circuit frame
+/// counter; it is stamped into each frame and advanced past them.
 std::vector<ntcs::Bytes> fragment(ntcs::BytesView msg, std::size_t mtu,
                                   std::uint32_t& seq);
 /// Sequence-free convenience (tests, single-shot encodings): frames are
@@ -116,11 +94,18 @@ class Reassembler {
     bool dropped = false;   // duplicate or stale frame, ignored
     bool resynced = false;  // forward gap: stream resynchronised
     bool orphan = false;    // continuation whose first frame was lost
+    bool in_frame = false;  // feed_in_place: the message is in the frame
   };
 
   /// Feed one IPCS frame. Errors indicate a malformed frame (protocol
   /// violation); fault-induced anomalies come back in the FeedResult.
   ntcs::Result<FeedResult> feed(ntcs::BytesView frame);
+
+  /// feed() for a caller that keeps the frame buffer: a message that fits
+  /// in this one frame is not copied into the reassembly buffer. It is
+  /// reported with `complete` and `in_frame` set, and its bytes are
+  /// frame[kFragHeaderMax..]; take() is not called for it.
+  ntcs::Result<FeedResult> feed_in_place(ntcs::BytesView frame);
 
   /// The completed message after feed() reported complete.
   ntcs::Bytes take();
@@ -128,6 +113,8 @@ class Reassembler {
   std::size_t pending_bytes() const { return acc_.size(); }
 
  private:
+  ntcs::Result<FeedResult> feed_impl(ntcs::BytesView frame, bool in_place);
+
   ntcs::Bytes acc_;
   bool have_head_ = false;         // saw the current message's first frame
   std::uint32_t expect_total_ = 0; // its announced total length
@@ -282,5 +269,103 @@ std::optional<std::uint32_t> peek_lcm_flags(ntcs::BytesView lcm_msg);
 /// -> LCM header. nullopt for non-payload ND kinds, non-data IP envelopes
 /// and untraced messages.
 std::optional<LcmTraceWords> peek_nd_trace(ntcs::BytesView nd_msg);
+
+// ---------------------------------------------------------------- gather send
+
+/// Fixed header sizes (shift mode: four-byte words, 64-bit values as two).
+inline constexpr std::size_t kNdPrologueSize = 12;  // magic, version, kind
+inline constexpr std::size_t kIpPrologueSize = 12;  // kind, ivc
+inline constexpr std::size_t kLcmHeaderSize = 36;   // untraced LCM header
+inline constexpr std::size_t kLcmHeaderMax = 60;    // plus three trace words
+
+/// The nested headers of one outbound message, encoded in place in a fixed
+/// buffer: each layer prepends its header in front of the ones above it
+/// (LCM, then IP, then ND), so the bytes end up in wire order without a
+/// heap allocation or a re-concatenation per layer. The payload never
+/// enters this buffer; it travels beside it as a view down to the
+/// substrate (FrameCursor), which gathers both into the frame.
+class HeaderBuf {
+ public:
+  static constexpr std::size_t kCapacity =
+      kNdPrologueSize + kIpPrologueSize + kLcmHeaderMax;
+
+  void push_lcm(const LcmHeader& h);
+  void push_ip_data(std::uint64_t ivc);
+  void push_nd_payload();
+
+  ntcs::BytesView view() const {
+    return ntcs::BytesView(buf_ + start_, kCapacity - start_);
+  }
+
+ private:
+  std::uint8_t* prepend(std::size_t n);
+
+  std::uint8_t buf_[kCapacity];
+  std::size_t start_ = kCapacity;
+};
+
+/// One outbound IPCS frame: a small header (fragment word, the total
+/// length on a first frame, then whichever of the message's leading header
+/// bytes fall in this frame) plus a view of the payload bytes that follow.
+/// IpcsPort::send gathers the two.
+struct Frame {
+  std::uint8_t head[kFragHeaderMax + HeaderBuf::kCapacity];
+  std::size_t head_len = 0;
+  ntcs::BytesView body;
+
+  ntcs::BytesView header() const { return ntcs::BytesView(head, head_len); }
+};
+
+/// Cuts a message given as `head ++ body` into MTU-sized frames without
+/// materialising either: the zero-copy fragmentation path, byte-identical
+/// to fragment() over the concatenation. `head` holds at most
+/// HeaderBuf::kCapacity bytes; `seq` is the circuit's running frame
+/// counter, stamped into each frame and advanced past them. Both views
+/// must outlive the cursor.
+class FrameCursor {
+ public:
+  FrameCursor(ntcs::BytesView head, ntcs::BytesView body, std::size_t mtu,
+              std::uint32_t& seq);
+
+  /// Fill `f` with the next frame; false once the message is exhausted.
+  bool next(Frame& f);
+
+ private:
+  ntcs::BytesView head_;
+  ntcs::BytesView body_;
+  std::size_t mtu_;
+  std::uint32_t& seq_;
+  std::size_t off_ = 0;  // into head ++ body
+  bool first_ = true;
+};
+
+// ---------------------------------------------------------------- view decode
+
+// The receive path's decoders: fixed-offset reads over the one received
+// buffer, returning views of what follows each header — no copies. On
+// payload-carrying kinds (ND payload, IP data, every LCM message) they
+// accept exactly what the reference decoders above accept, with the same
+// fields and body bytes. On control kinds (ND open/ack, IP extend and
+// extend-fail) they check only the prologue; callers parse the variable
+// fields with the reference decoders.
+
+struct NdView {
+  NdKind kind = NdKind::payload;
+  ntcs::BytesView body;  // everything after the ND prologue
+};
+ntcs::Result<NdView> decode_nd_view(ntcs::BytesView msg);
+
+struct IpView {
+  IpKind kind = IpKind::data;
+  std::uint64_t ivc = 0;
+  ntcs::BytesView body;  // everything after the IP prologue
+};
+ntcs::Result<IpView> decode_ip_view(ntcs::BytesView envelope);
+
+struct LcmView {
+  LcmHeader header;
+  ntcs::BytesView payload;
+};
+ntcs::Result<LcmView> decode_lcm_view(ntcs::BytesView msg);
 
 }  // namespace ntcs::core::wire

@@ -440,12 +440,13 @@ ntcs::Status Fabric::send_impl(Endpoint* src, ChannelId chan,
       m_dup().inc();
     }
   }
-  peer->enqueue({deliver_at, seq,
-                 Delivery{DeliveryKind::data, chan, payload, {}}});
   if (dup_at) {
-    peer->enqueue({*dup_at, dup_seq,
-                   Delivery{DeliveryKind::data, chan, std::move(payload), {}}});
+    // Only an injected duplicate costs a second buffer.
+    peer->enqueue(
+        {*dup_at, dup_seq, Delivery{DeliveryKind::data, chan, payload, {}}});
   }
+  peer->enqueue({deliver_at, seq,
+                 Delivery{DeliveryKind::data, chan, std::move(payload), {}}});
   return ntcs::Status::success();
 }
 

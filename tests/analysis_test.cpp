@@ -6,7 +6,8 @@
 // system's true acquisition order (zero false positives).
 //
 // The whole suite carries the `analysis` ctest label. It requires the
-// validator to be compiled in (CMake option NTCS_LOCK_CHECKS, default ON).
+// validator to be compiled in (CMake option NTCS_LOCK_CHECKS, default ON)
+// and skips when it is not.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -25,9 +26,22 @@ namespace {
 using namespace std::chrono_literals;
 using convert::Arch;
 
-#ifndef NTCS_LOCK_RANK_CHECKS
-#error "analysis_test requires NTCS_LOCK_CHECKS=ON (the default)"
+#ifdef NTCS_LOCK_RANK_CHECKS
+constexpr bool kLockChecks = true;
+#else
+constexpr bool kLockChecks = false;
 #endif
+
+/// Every case needs the validator compiled in; a build configured with
+/// NTCS_LOCK_CHECKS=OFF (the benchmark configuration) skips the suite.
+class Analysis : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!kLockChecks) {
+      GTEST_SKIP() << "lock-rank validator compiled out (NTCS_LOCK_CHECKS=OFF)";
+    }
+  }
+};
 
 std::uint64_t metric_inversions() {
   return metrics::MetricsRegistry::instance()
@@ -35,7 +49,7 @@ std::uint64_t metric_inversions() {
       .value("analysis.lock_inversions");
 }
 
-TEST(Analysis, InducedRankInversionIsDetected) {
+TEST_F(Analysis, InducedRankInversionIsDetected) {
   // fabric (710) is ranked below lcm.state (300) in acquisition order —
   // taking them inner-to-outer must trip the validator exactly once.
   Mutex low{lockrank::kLcmState, "test.outer"};
@@ -50,7 +64,7 @@ TEST(Analysis, InducedRankInversionIsDetected) {
   EXPECT_EQ(metric_inversions(), metric_before + 1);
 }
 
-TEST(Analysis, CorrectOrderIsSilent) {
+TEST_F(Analysis, CorrectOrderIsSilent) {
   Mutex outer{lockrank::kLcmState, "test.outer2"};
   Mutex inner{lockrank::kSimnetFabric, "test.inner2"};
   const std::uint64_t before = analysis::lock_inversions();
@@ -66,7 +80,7 @@ TEST(Analysis, CorrectOrderIsSilent) {
   EXPECT_EQ(analysis::lock_inversions(), before);
 }
 
-TEST(Analysis, EqualRanksNestedAreAnInversion) {
+TEST_F(Analysis, EqualRanksNestedAreAnInversion) {
   // The hierarchy demands *strictly* increasing ranks: two locks of the
   // same rank may never nest (that is exactly the symmetric-deadlock
   // shape: thread 1 takes A then B, thread 2 takes B then A).
@@ -80,7 +94,7 @@ TEST(Analysis, EqualRanksNestedAreAnInversion) {
   EXPECT_EQ(analysis::lock_inversions(), before + 1);
 }
 
-TEST(Analysis, UnrankedLocksAreExempt) {
+TEST_F(Analysis, UnrankedLocksAreExempt) {
   // Four simultaneously-live mutexes, a distinct pair per direction:
   // reusing one pair in both orders would hand ThreadSanitizer's deadlock
   // detector a genuine A<=>B cycle (and scoped pairs recur at the same
@@ -101,7 +115,7 @@ TEST(Analysis, UnrankedLocksAreExempt) {
   EXPECT_EQ(analysis::lock_inversions(), before);
 }
 
-TEST(Analysis, ReleaseRestoresTheStack) {
+TEST_F(Analysis, ReleaseRestoresTheStack) {
   // Sequential (non-nested) acquisitions in any rank order are legal: the
   // stack must actually pop on unlock, not just grow.
   Mutex low{lockrank::kLcmState, "test.seq_low"};
@@ -114,7 +128,7 @@ TEST(Analysis, ReleaseRestoresTheStack) {
   EXPECT_EQ(analysis::held_lock_depth(), 0u);
 }
 
-TEST(Analysis, CondVarWaitKeepsBookkeepingExact) {
+TEST_F(Analysis, CondVarWaitKeepsBookkeepingExact) {
   // condition_variable_any waits release and reacquire through
   // UniqueLock::unlock()/lock(), so the held-lock stack must read 0 while
   // parked and 1 again after wakeup — with no spurious inversions.
@@ -140,7 +154,7 @@ TEST(Analysis, CondVarWaitKeepsBookkeepingExact) {
   EXPECT_EQ(analysis::lock_inversions(), before);
 }
 
-TEST(Analysis, TryLockParticipates) {
+TEST_F(Analysis, TryLockParticipates) {
   Mutex low{lockrank::kLcmState, "test.try_low"};
   Mutex high{lockrank::kSimnetFabric, "test.try_high"};
   const std::uint64_t before = analysis::lock_inversions();
@@ -152,7 +166,7 @@ TEST(Analysis, TryLockParticipates) {
   EXPECT_EQ(analysis::lock_inversions(), before + 1);
 }
 
-TEST(Analysis, NspLeaseRankSitsBetweenNspStateAndNameServerDb) {
+TEST_F(Analysis, NspLeaseRankSitsBetweenNspStateAndNameServerDb) {
   // The lease cache's lock (kNspLease = 205) is deliberately ranked above
   // the NSP-Layer's own state (200) and below the Name Server database
   // (210): the lookup path may take nsp.state -> nsp.lease in order, and a
@@ -186,7 +200,7 @@ TEST(Analysis, NspLeaseRankSitsBetweenNspStateAndNameServerDb) {
 // traffic. Every lock in src/ is rank-checked on every acquisition; the
 // run must end with zero inversions — the validator has no false
 // positives on the system's actual interleavings.
-TEST(Analysis, CleanPathPipelinedChaosRunHasZeroInversions) {
+TEST_F(Analysis, CleanPathPipelinedChaosRunHasZeroInversions) {
   const std::uint64_t before = analysis::lock_inversions();
   {
     core::Testbed tb(1);
@@ -253,7 +267,7 @@ TEST(Analysis, CleanPathPipelinedChaosRunHasZeroInversions) {
 // must come out of an exhaustive exploration with zero happens-before
 // races and zero rank inversions — this is the zero-false-positive
 // anchor for the `sched` verify stage.
-TEST(Analysis, ExplorerReportsCleanFragmentRaceAndInversionFree) {
+TEST_F(Analysis, ExplorerReportsCleanFragmentRaceAndInversionFree) {
   namespace sc = analysis::sched;
   struct Shared {
     Mutex mu{lockrank::kLcmState, "analysis.frag"};

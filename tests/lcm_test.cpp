@@ -4,9 +4,12 @@
 // shutdown semantics.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <thread>
 
 #include "core/testbed.h"
+#include "simnet/backend.h"
 
 namespace ntcs::core {
 namespace {
@@ -317,6 +320,174 @@ TEST(LcmLayer, ConcurrentRequestersMultiplexOneCircuit) {
   workers.clear();  // join
   EXPECT_EQ(ok.load(), kThreads * kEach);
   echo.request_stop();
+}
+
+/// Big-endian word at `off` of the frame `head ++ body`.
+std::uint32_t frame_word(BytesView head, BytesView body, std::size_t off) {
+  std::uint32_t v = 0;
+  for (std::size_t i = off; i < off + 4; ++i) {
+    v = (v << 8) | (i < head.size() ? head[i] : body[i - head.size()]);
+  }
+  return v;
+}
+
+/// Is this frame a whole application request (first frame, ND payload, IP
+/// data, LCM request without the internal flag)?
+bool is_app_request(BytesView head, BytesView body) {
+  // frag word, total | magic, version, nd kind | ip kind, ivc | lcm kind,
+  // flags
+  if (head.size() + body.size() < 40) return false;
+  return wire::frag_first(frame_word(head, body, 0)) &&
+         frame_word(head, body, 8) == wire::kMagic &&
+         frame_word(head, body, 16) ==
+             static_cast<std::uint32_t>(wire::NdKind::payload) &&
+         frame_word(head, body, 20) ==
+             static_cast<std::uint32_t>(wire::IpKind::data) &&
+         frame_word(head, body, 32) ==
+             static_cast<std::uint32_t>(wire::LcmKind::request) &&
+         (frame_word(head, body, 36) & wire::kLcmFlagInternal) == 0;
+}
+
+/// A backend whose ports, once armed, swallow the next application request
+/// frame and run `hook` in its place — inside IpcsPort::send, after the
+/// send path has committed the frame and before it returns. The hook's
+/// status is what the send reports.
+class RequestTrapBackend final : public IpcsBackend {
+ public:
+  using Hook = std::function<Status(IpcsPort& inner, IpcsChannelId chan)>;
+
+  RequestTrapBackend(std::shared_ptr<IpcsBackend> inner, Hook hook)
+      : inner_(std::move(inner)), state_(std::make_shared<State>()) {
+    state_->hook = std::move(hook);
+  }
+
+  void arm() { state_->armed.store(true); }
+
+  std::string kind_name() const override { return inner_->kind_name(); }
+  convert::Arch arch() const override { return inner_->arch(); }
+  std::chrono::nanoseconds now() const override { return inner_->now(); }
+  bool probe(const std::string& phys) override { return inner_->probe(phys); }
+  Result<std::shared_ptr<IpcsPort>> bind(
+      const std::string& local_name) override {
+    auto port = inner_->bind(local_name);
+    if (!port) return port.error();
+    return std::shared_ptr<IpcsPort>(
+        std::make_shared<Port>(std::move(port.value()), state_));
+  }
+
+ private:
+  struct State {
+    std::atomic<bool> armed{false};
+    Hook hook;
+  };
+  class Port final : public IpcsPort {
+   public:
+    Port(std::shared_ptr<IpcsPort> inner, std::shared_ptr<State> state)
+        : inner_(std::move(inner)), state_(std::move(state)) {}
+    std::string phys() const override { return inner_->phys(); }
+    std::size_t mtu() const override { return inner_->mtu(); }
+    Result<IpcsChannelId> connect(const std::string& dst) override {
+      return inner_->connect(dst);
+    }
+    Status send(IpcsChannelId chan, BytesView header,
+                BytesView body) override {
+      if (state_->armed.load() && is_app_request(header, body) &&
+          state_->armed.exchange(false)) {
+        return state_->hook(*inner_, chan);
+      }
+      return inner_->send(chan, header, body);
+    }
+    Result<IpcsDelivery> recv_for(std::chrono::nanoseconds t) override {
+      return inner_->recv_for(t);
+    }
+    Status close_channel(IpcsChannelId chan) override {
+      return inner_->close_channel(chan);
+    }
+    void close() override { inner_->close(); }
+
+   private:
+    std::shared_ptr<IpcsPort> inner_;
+    std::shared_ptr<State> state_;
+  };
+
+  std::shared_ptr<IpcsBackend> inner_;
+  std::shared_ptr<State> state_;
+};
+
+/// Sends one request whose first frame is swallowed by the client's
+/// substrate; inside that send, the circuit is killed and the client fully
+/// handles the close before the send returns `send_outcome`. The request
+/// must recover on a fresh circuit and reach the server exactly once.
+void request_survives_close_inside_send(Status send_outcome) {
+  Testbed tb;
+  tb.net("lan");
+  tb.machine("m1", Arch::vax780, {"lan"});
+  tb.machine("m2", Arch::vax780, {"lan"});
+  ASSERT_TRUE(tb.start_name_server("m1", "lan").ok());
+  ASSERT_TRUE(tb.finalize().ok());
+  auto server = tb.spawn_module("server", "m2", "lan").value();
+  std::atomic<int> delivered{0};
+  std::jthread serve([&](std::stop_token st) {
+    while (!st.stop_requested()) {
+      auto in = server->commod().receive(50ms);
+      if (in.ok() && in.value().is_request) {
+        delivered.fetch_add(1);
+        (void)server->commod().reply(in.value().reply_ctx, in.value().payload);
+      }
+    }
+  });
+
+  NodeConfig cfg = tb.node_config("client", "m1", "lan");
+  auto trap = std::make_shared<RequestTrapBackend>(
+      cfg.backend, [&](IpcsPort& inner, IpcsChannelId chan) {
+        // Runs with the circuit's transmit lock held: touch only the
+        // substrate (ranked below it), never the Nucleus.
+        auto* port = dynamic_cast<simnet::SimnetPort*>(&inner);
+        EXPECT_NE(port, nullptr);
+        EXPECT_TRUE(tb.fabric().kill_channel(chan).ok());
+        // Wait for the client's pump to take the close off its inbox, then
+        // give it time to run the IP and LCM close handling.
+        const auto until = std::chrono::steady_clock::now() + 2s;
+        while (port != nullptr && port->endpoint()->pending() != 0 &&
+               std::chrono::steady_clock::now() < until) {
+          std::this_thread::sleep_for(1ms);
+        }
+        std::this_thread::sleep_for(50ms);
+        return send_outcome;
+      });
+  cfg.backend = trap;
+  auto client = std::make_unique<Node>(std::move(cfg));
+  ASSERT_TRUE(client->start().ok());
+  auto addr = client->commod().locate("server");
+  ASSERT_TRUE(addr.ok());
+
+  trap->arm();
+  const auto start = std::chrono::steady_clock::now();
+  auto reply = client->commod().request(addr.value(), to_bytes("once"), 2s);
+  ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+  EXPECT_EQ(reply.value().payload, to_bytes("once"));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 1s);
+  std::this_thread::sleep_for(100ms);  // any duplicate would land by now
+  EXPECT_EQ(delivered.load(), 1);
+  client->stop();
+  serve.request_stop();
+}
+
+TEST(LcmLayer, CircuitCloseBetweenSendAndStampFaultsTheRequest) {
+  // A request's ticket must name its circuit before the frame leaves: an
+  // ivc_closed landing between the send and the stamp used to match no
+  // request, which then waited out its whole deadline. Here the frame is
+  // lost on the wire and the send reports success.
+  request_survives_close_inside_send(Status::success());
+}
+
+TEST(LcmLayer, CircuitClosedUnderAFailingSendIsRetriedOnce) {
+  // The same close, but the send fails too, so the send path's own fault
+  // retry races the close's fault of the ticket. Exactly one of them may
+  // re-send: the retry must not stamp a fresh circuit and go out while
+  // await() is about to re-issue the faulted request.
+  request_survives_close_inside_send(
+      Status(Errc::address_fault, "frame refused"));
 }
 
 }  // namespace

@@ -1,6 +1,12 @@
 // Unit tests for the NTCS wire protocol (S4): fragmentation, ND open
-// exchange, IP envelopes, LCM headers — including malformed-input fuzzing.
+// exchange, IP envelopes, LCM headers — including malformed-input fuzzing —
+// and the copy-once path's byte identity with the reference encoders and
+// decoders.
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "common/rng.h"
 #include "convert/shift.h"
@@ -394,6 +400,283 @@ TEST(Fuzz, RandomBytesNeverCrash) {
     (void)r.feed(junk);
   }
   SUCCEED();
+}
+
+// ---------------------------------------------------------------- gather path
+
+/// The frames the gather path cuts from `head ++ body`, each materialised
+/// as header ++ body so they compare with fragment()'s output.
+std::vector<Bytes> gather_frames(BytesView head, BytesView body,
+                                 std::size_t mtu, std::uint32_t& seq) {
+  std::vector<Bytes> out;
+  FrameCursor cursor(head, body, mtu, seq);
+  Frame f;
+  while (cursor.next(f)) {
+    Bytes frame(f.header().begin(), f.header().end());
+    append(frame, f.body);
+    out.push_back(std::move(frame));
+  }
+  return out;
+}
+
+LcmHeader sample_header(bool traced) {
+  LcmHeader h;
+  h.kind = LcmKind::request;
+  h.flags = kLcmFlagInternal;
+  h.src = UAdd::permanent(1001);
+  h.dst = UAdd::permanent(2002);
+  h.req_id = 0xA5A5A5A5u;
+  h.mode = 1;
+  h.src_arch = 3;
+  if (traced) {
+    h.flags |= kLcmFlagTraced;
+    h.trace_hi = 0x0102030405060708ULL;
+    h.trace_lo = 0x1112131415161718ULL;
+    h.trace_parent = 0x2122232425262728ULL;
+  }
+  return h;
+}
+
+Bytes random_bytes(Rng& rng, std::size_t n) {
+  Bytes b(n);
+  for (auto& x : b) x = static_cast<std::uint8_t>(rng.next());
+  return b;
+}
+
+TEST(GatherPath, DataFramesMatchTheReferenceEncoders) {
+  // The one gather path must put exactly the bytes of encode_lcm ->
+  // encode_ip_data -> encode_nd_payload -> fragment on the wire. A 16-byte
+  // MTU splits the headers themselves across frames.
+  constexpr std::uint64_t kIvc = 0x0000000100000002ULL;
+  Rng rng(12);
+  for (const std::size_t mtu : {std::size_t{16}, std::size_t{4096}}) {
+    for (const bool traced : {false, true}) {
+      const LcmHeader h = sample_header(traced);
+      for (const std::size_t size :
+           {std::size_t{0}, std::size_t{64}, mtu - 1, mtu, mtu + 1,
+            std::size_t{64} << 10}) {
+        SCOPED_TRACE("mtu=" + std::to_string(mtu) + " traced=" +
+                     std::to_string(traced) + " size=" + std::to_string(size));
+        const Bytes payload = random_bytes(rng, size);
+        std::uint32_t seq_ref = 120;  // runs across the 7-bit wrap
+        const auto reference = fragment(
+            encode_nd_payload(encode_ip_data(kIvc, encode_lcm(h, payload))),
+            mtu, seq_ref);
+        HeaderBuf head;
+        head.push_lcm(h);
+        head.push_ip_data(kIvc);
+        head.push_nd_payload();
+        std::uint32_t seq = 120;
+        EXPECT_EQ(gather_frames(head.view(), payload, mtu, seq), reference);
+        EXPECT_EQ(seq, seq_ref);
+      }
+    }
+  }
+}
+
+TEST(GatherPath, EnvelopeEntryPointsAreTheDegenerateCase) {
+  // IpLayer::send(lcm_msg) and NdLayer::send(envelope) gather an encoded
+  // message as the body behind fewer in-place headers; the open exchange
+  // gathers a whole ND message behind none.
+  constexpr std::size_t kMtu = 64;
+  Rng rng(13);
+  const Bytes lcm_msg = encode_lcm(sample_header(false), random_bytes(rng, 200));
+  const Bytes envelope = encode_ip_data(77, lcm_msg);
+  std::uint32_t seq_ref = 0;
+  const auto reference = fragment(encode_nd_payload(envelope), kMtu, seq_ref);
+
+  HeaderBuf ip_head;
+  ip_head.push_ip_data(77);
+  ip_head.push_nd_payload();
+  std::uint32_t seq = 0;
+  EXPECT_EQ(gather_frames(ip_head.view(), lcm_msg, kMtu, seq), reference);
+
+  HeaderBuf nd_head;
+  nd_head.push_nd_payload();
+  seq = 0;
+  EXPECT_EQ(gather_frames(nd_head.view(), envelope, kMtu, seq), reference);
+
+  NdOpen open;
+  open.src_uadd = UAdd::permanent(5);
+  open.src_phys = "tcp:m:1";
+  const Bytes open_msg = encode_nd_open(open);
+  seq_ref = seq = 9;
+  EXPECT_EQ(gather_frames({}, open_msg, kMtu, seq),
+            fragment(open_msg, kMtu, seq_ref));
+}
+
+TEST(GatherPath, ReceivedFramesDecodeInPlace) {
+  // One frame: the reassembler leaves the message in the frame. Many
+  // frames: it reassembles. Either way the view decoders recover the
+  // header fields and the payload bytes.
+  constexpr std::size_t kMtu = 4096;
+  Rng rng(14);
+  for (const std::size_t size : {std::size_t{64}, 3 * kMtu}) {
+    const LcmHeader h = sample_header(true);
+    const Bytes payload = random_bytes(rng, size);
+    HeaderBuf head;
+    head.push_lcm(h);
+    head.push_ip_data(42);
+    head.push_nd_payload();
+    std::uint32_t seq = 0;
+    const auto frames = gather_frames(head.view(), payload, kMtu, seq);
+    Reassembler r;
+    Bytes msg;
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      auto fed = r.feed_in_place(frames[i]);
+      ASSERT_TRUE(fed.ok());
+      EXPECT_EQ(fed.value().complete, i + 1 == frames.size());
+      EXPECT_EQ(fed.value().in_frame, frames.size() == 1);
+      if (fed.value().in_frame) {
+        msg.assign(frames[i].begin() + kFragHeaderMax, frames[i].end());
+      } else if (fed.value().complete) {
+        msg = r.take();
+      }
+    }
+    EXPECT_EQ(r.pending_bytes(), 0u);
+    auto nd = decode_nd_view(msg);
+    ASSERT_TRUE(nd.ok());
+    ASSERT_EQ(nd.value().kind, NdKind::payload);
+    auto ip = decode_ip_view(nd.value().body);
+    ASSERT_TRUE(ip.ok());
+    EXPECT_EQ(ip.value().kind, IpKind::data);
+    EXPECT_EQ(ip.value().ivc, 42u);
+    auto lcm = decode_lcm_view(ip.value().body);
+    ASSERT_TRUE(lcm.ok());
+    EXPECT_EQ(lcm.value().header.req_id, h.req_id);
+    EXPECT_EQ(lcm.value().header.trace_parent, h.trace_parent);
+    EXPECT_EQ(Bytes(lcm.value().payload.begin(), lcm.value().payload.end()),
+              payload);
+  }
+}
+
+TEST(GatherPath, InPlaceFeedKeepsTheReassemblerChecks) {
+  // A one-frame message whose total-length word disagrees with its chunk
+  // is dropped exactly as feed() drops it, and a duplicate is suppressed.
+  std::uint32_t seq = 0;
+  auto frames = fragment(to_bytes("abcdef"), 1024, seq);
+  Bytes evil = frames[0];
+  evil[7] = static_cast<std::uint8_t>(evil[7] + 1);
+  Reassembler r;
+  auto fed = r.feed_in_place(evil);
+  ASSERT_TRUE(fed.ok());
+  EXPECT_FALSE(fed.value().complete);
+  EXPECT_TRUE(fed.value().resynced);
+  auto next = fragment(to_bytes("ok"), 1024, seq);
+  EXPECT_TRUE(r.feed_in_place(next[0]).value().in_frame);
+  auto again = r.feed_in_place(next[0]);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again.value().dropped);
+  EXPECT_FALSE(again.value().complete);
+}
+
+// ---------------------------------------------------------------- view decode
+
+/// Counts of inputs each view decoder accepted, so the corpus check below
+/// cannot pass vacuously.
+struct Accepted {
+  int nd = 0;
+  int ip = 0;
+  int lcm = 0;
+};
+
+void expect_views_agree(BytesView in, Accepted& acc) {
+  auto lcm_ref = decode_lcm(in);
+  auto lcm = decode_lcm_view(in);
+  ASSERT_EQ(lcm.ok(), lcm_ref.ok());
+  if (lcm.ok()) {
+    ++acc.lcm;
+    const LcmHeader& a = lcm.value().header;
+    const LcmHeader& b = lcm_ref.value().header;
+    EXPECT_EQ(a.kind, b.kind);
+    EXPECT_EQ(a.flags, b.flags);
+    EXPECT_EQ(a.src, b.src);
+    EXPECT_EQ(a.dst, b.dst);
+    EXPECT_EQ(a.req_id, b.req_id);
+    EXPECT_EQ(a.mode, b.mode);
+    EXPECT_EQ(a.src_arch, b.src_arch);
+    EXPECT_EQ(a.trace_hi, b.trace_hi);
+    EXPECT_EQ(a.trace_lo, b.trace_lo);
+    EXPECT_EQ(a.trace_parent, b.trace_parent);
+    EXPECT_EQ(Bytes(lcm.value().payload.begin(), lcm.value().payload.end()),
+              lcm_ref.value().payload);
+  }
+  // ND and IP: control kinds are only prologue-checked by the views, so
+  // agreement is exact on the payload-carrying kinds and one-way (the
+  // reference accepts => the view accepts, same kind) on the others.
+  auto nd_ref = decode_nd(in);
+  auto nd = decode_nd_view(in);
+  if (nd_ref.ok()) {
+    ASSERT_TRUE(nd.ok());
+    EXPECT_EQ(nd.value().kind, nd_ref.value().kind);
+  }
+  if (nd.ok() && nd.value().kind == NdKind::payload) {
+    ++acc.nd;
+    ASSERT_TRUE(nd_ref.ok());
+    EXPECT_EQ(Bytes(nd.value().body.begin(), nd.value().body.end()),
+              nd_ref.value().body);
+  }
+  auto ip_ref = decode_ip(in);
+  auto ip = decode_ip_view(in);
+  if (ip_ref.ok()) {
+    ASSERT_TRUE(ip.ok());
+    EXPECT_EQ(ip.value().kind, ip_ref.value().kind);
+    EXPECT_EQ(ip.value().ivc, ip_ref.value().ivc);
+  }
+  if (ip.ok() && ip.value().kind == IpKind::data) {
+    ++acc.ip;
+    ASSERT_TRUE(ip_ref.ok());
+    EXPECT_EQ(Bytes(ip.value().body.begin(), ip.value().body.end()),
+              ip_ref.value().body);
+  }
+}
+
+TEST(ViewDecoders, AgreeWithReferenceDecodersOverFuzzCorpus) {
+  // Every checked-in fuzz input, and its suffixes at the frame, ND and IP
+  // header boundaries (so frames and envelopes in the corpus reach the
+  // inner decoders too).
+  namespace fs = std::filesystem;
+  Accepted acc;
+  int inputs = 0;
+  for (const auto& entry :
+       fs::recursive_directory_iterator(NTCS_FUZZ_CORPUS_DIR)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream file(entry.path(), std::ios::binary);
+    const Bytes data((std::istreambuf_iterator<char>(file)),
+                     std::istreambuf_iterator<char>());
+    for (const std::size_t off : {0, 4, 8, 12, 20, 24, 32}) {
+      if (off > data.size()) continue;
+      SCOPED_TRACE(entry.path().string() + " +" + std::to_string(off));
+      expect_views_agree(BytesView(data).subspan(off), acc);
+      ++inputs;
+    }
+  }
+  EXPECT_GT(inputs, 30);
+  EXPECT_GT(acc.nd, 0);
+  EXPECT_GT(acc.ip, 0);
+  EXPECT_GT(acc.lcm, 0);
+}
+
+TEST(ViewDecoders, AgreeOnTruncationsAndBitFlips) {
+  // Beyond the corpus: every prefix and random single-bit damage of a
+  // traced data message at each nesting level.
+  const Bytes lcm_msg = encode_lcm(sample_header(true), to_bytes("payload!"));
+  const Bytes envelope = encode_ip_data(5, lcm_msg);
+  const Bytes nd_msg = encode_nd_payload(envelope);
+  Accepted acc;
+  Rng rng(99);
+  for (const Bytes* msg : {&lcm_msg, &envelope, &nd_msg}) {
+    for (std::size_t cut = 0; cut <= msg->size(); ++cut) {
+      expect_views_agree(BytesView(*msg).first(cut), acc);
+    }
+    for (int i = 0; i < 500; ++i) {
+      Bytes mutated = *msg;
+      mutated[rng.next_below(mutated.size())] ^=
+          static_cast<std::uint8_t>(1u << rng.next_below(8));
+      expect_views_agree(mutated, acc);
+    }
+  }
+  EXPECT_GT(acc.lcm, 0);
 }
 
 TEST(Fuzz, BitFlipsNeverCrash) {
