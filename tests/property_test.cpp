@@ -270,6 +270,11 @@ struct ChaosClass {
   simnet::FaultPlan plan;
 };
 
+// Print the class by name: gtest's default byte dump would embed the
+// address of `name`, so the listed test names would change with the
+// binary's layout.
+void PrintTo(const ChaosClass& c, std::ostream* os) { *os << c.name; }
+
 std::vector<ChaosClass> chaos_classes() {
   std::vector<ChaosClass> out;
   {
