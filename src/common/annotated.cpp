@@ -6,7 +6,8 @@
 // rank is <= the rank of any held lock is a rank inversion; it is counted
 // into `analysis.lock_inversions`, mirrored in a plain atomic readable
 // without the registry, and reported on stderr once per (held, acquired)
-// name pair so a chaos run cannot flood the log.
+// name pair so a chaos run cannot flood the log. While a test switches it
+// on, it also counts ranked acquisitions, in total and per rank.
 //
 // Re-entrancy: reporting an inversion itself takes leaf locks (the
 // metrics registry's map lock, stderr). A thread-local in_validator flag
@@ -78,14 +79,44 @@ void report_once(const char* held_name, std::uint16_t held_rank,
                acq_name, acq_rank, held_name, held_rank);
 }
 
+// Acquisition counting for lock-budget tests. Every rank is below 1024;
+// a higher one would count in the total only.
+constexpr std::size_t kRankSlots = 1024;
+// sync: relaxed; a test-only switch and observational counters, never
+// used to order other memory.
+std::atomic<bool> g_counting{false};
+std::atomic<std::uint64_t> g_acquisitions{0};  // sync: as above
+// sync: as above
+std::atomic<std::uint64_t> g_acquisitions_by_rank[kRankSlots];
+
 }  // namespace
 
 std::size_t held_lock_depth() { return t_locks.depth; }
+
+void count_lock_acquisitions(bool on) {
+  g_counting.store(on, std::memory_order_relaxed);
+}
+
+std::uint64_t lock_acquisitions() {
+  return g_acquisitions.load(std::memory_order_relaxed);
+}
+
+std::uint64_t lock_acquisitions(std::uint16_t rank) {
+  return rank < kRankSlots
+             ? g_acquisitions_by_rank[rank].load(std::memory_order_relaxed)
+             : 0;
+}
 
 void note_acquire(const void* m, std::uint16_t rank, const char* name) {
   ThreadLockState& s = t_locks;
   if (s.in_validator) return;
   if (rank != lockrank::kUnranked) {
+    if (g_counting.load(std::memory_order_relaxed)) {
+      g_acquisitions.fetch_add(1, std::memory_order_relaxed);
+      if (rank < kRankSlots) {
+        g_acquisitions_by_rank[rank].fetch_add(1, std::memory_order_relaxed);
+      }
+    }
     // The hierarchy demands strictly increasing ranks down the stack.
     for (std::size_t i = 0; i < s.depth; ++i) {
       if (s.held[i].rank != lockrank::kUnranked && s.held[i].rank >= rank) {
@@ -125,6 +156,9 @@ void note_release(const void* m) {
 #else  // !NTCS_LOCK_RANK_CHECKS
 
 std::size_t held_lock_depth() { return 0; }
+void count_lock_acquisitions(bool) {}
+std::uint64_t lock_acquisitions() { return 0; }
+std::uint64_t lock_acquisitions(std::uint16_t) { return 0; }
 
 #endif
 

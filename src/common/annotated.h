@@ -31,9 +31,10 @@
 //     costs one thread-local stack scan (depth ≤ 4 in practice) per
 //     lock; perf builds may configure it away.
 //
-// The condition-variable wrapper is std::condition_variable_any: its
-// wait() releases and reacquires through UniqueLock::unlock()/lock(), so
-// the held-lock bookkeeping stays exact across blocking waits.
+// The condition-variable wrapper is a std::condition_variable waiting on
+// the Mutex's own std::mutex; each wait tells the validator the lock is
+// released and then re-acquired, so the held-lock bookkeeping stays exact
+// across blocking waits.
 #pragma once
 
 #include <chrono>
@@ -181,6 +182,14 @@ std::uint64_t lock_inversions();
 /// Number of ranked locks the calling thread currently holds.
 std::size_t held_lock_depth();
 
+/// Ranked-lock acquisition counting, for lock-budget tests. Off by
+/// default; while on, every ranked acquisition (a CondVar wake included)
+/// is counted process-wide, in total and per rank. Only the validator
+/// counts, so with it compiled out the counts stay 0.
+void count_lock_acquisitions(bool on);
+std::uint64_t lock_acquisitions();
+std::uint64_t lock_acquisitions(std::uint16_t rank);
+
 // Internal hooks used by ntcs::Mutex (defined even when the validator is
 // compiled out, as empty inlines, so annotated.h stays the only
 // conditional surface).
@@ -297,6 +306,8 @@ class CAPABILITY("mutex") Mutex {
   void assert_held() const ASSERT_CAPABILITY(this) {}
 
  private:
+  friend class CondVar;  // waits on mu_ itself
+
   std::mutex mu_;
   std::uint16_t rank_ = lockrank::kUnranked;
   const char* name_ = "unranked";
@@ -315,9 +326,8 @@ class SCOPED_CAPABILITY LockGuard {
   Mutex& mu_;
 };
 
-/// Relockable scoped lock, the std::unique_lock analogue — BasicLockable,
-/// so std::condition_variable_any can release/reacquire it (keeping the
-/// hierarchy validator's bookkeeping exact across waits).
+/// Relockable scoped lock, the std::unique_lock analogue; the lock a
+/// CondVar waits with.
 class SCOPED_CAPABILITY UniqueLock {
  public:
   explicit UniqueLock(Mutex& m) ACQUIRE(m) : mu_(&m), owned_(true) {
@@ -341,18 +351,23 @@ class SCOPED_CAPABILITY UniqueLock {
   bool owns_lock() const { return owned_; }
 
  private:
+  friend class CondVar;
+
   Mutex* mu_;
   bool owned_;
 };
 
-/// Condition variable over ntcs::Mutex. std::condition_variable_any waits
-/// by calling UniqueLock::unlock()/lock(), so every blocking wait passes
-/// through the same rank bookkeeping as a plain acquisition. The wait
-/// overloads mirror the std ones used in this codebase. (The thread-safety
-/// analysis treats the lock as held across a wait — true at entry and
-/// exit, which is what GUARDED_BY cares about.)
-/// Under an exploration run the underlying condition_variable_any is not
-/// used at all: a wait enqueues the task in the scheduler's FIFO waiter
+/// Condition variable over ntcs::Mutex: a std::condition_variable waiting
+/// on the Mutex's own std::mutex, so a wait or notify takes no lock of its
+/// own and constructing one allocates nothing. Around each blocking wait
+/// the validator is told the lock is released and then re-acquired, so
+/// the wake counts as an acquisition like any other. Predicate waits loop
+/// over the plain wait, so a predicate always runs with the lock noted as
+/// held. The wait overloads mirror the std ones used in this codebase.
+/// (The thread-safety analysis treats the lock as held across a wait —
+/// true at entry and exit, which is what GUARDED_BY cares about.)
+/// Under an exploration run the underlying condition_variable is not used
+/// at all: a wait enqueues the task in the scheduler's FIFO waiter
 /// model, releases the lock through the interposed Mutex path, parks
 /// until a modeled notify (or modeled timeout — timeouts fire only when
 /// nothing else can run), and relocks. notify_one wakes the FIFO front;
@@ -380,7 +395,7 @@ class CondVar {
       sched_wait(lk, -1);
       return;
     }
-    cv_.wait(lk);
+    park(lk);
   }
 
   template <typename Pred>
@@ -389,7 +404,7 @@ class CondVar {
       while (!pred()) sched_wait(lk, -1);
       return;
     }
-    cv_.wait(lk, std::move(pred));
+    while (!pred()) park(lk);
   }
 
   template <typename Rep, typename Period>
@@ -399,7 +414,7 @@ class CondVar {
       return sched_wait(lk, rel_ns(d)) ? std::cv_status::timeout
                                        : std::cv_status::no_timeout;
     }
-    return cv_.wait_for(lk, d);
+    return park_until(lk, std::chrono::steady_clock::now() + d);
   }
 
   template <typename Rep, typename Period, typename Pred>
@@ -411,7 +426,7 @@ class CondVar {
       }
       return true;
     }
-    return cv_.wait_for(lk, d, std::move(pred));
+    return park_until(lk, std::chrono::steady_clock::now() + d, pred);
   }
 
   template <typename Clock, typename Duration>
@@ -422,7 +437,7 @@ class CondVar {
                  ? std::cv_status::timeout
                  : std::cv_status::no_timeout;
     }
-    return cv_.wait_until(lk, tp);
+    return park_until(lk, tp);
   }
 
   template <typename Clock, typename Duration, typename Pred>
@@ -435,10 +450,50 @@ class CondVar {
       }
       return true;
     }
-    return cv_.wait_until(lk, tp, std::move(pred));
+    return park_until(lk, tp, pred);
   }
 
  private:
+  /// The Mutex's std::mutex, lent to cv_ for one wait: the validator sees
+  /// the lock released for the wait and acquired again when it ends.
+  struct Lend {
+    explicit Lend(UniqueLock& lk)
+        : m(*lk.mu_), inner(m.mu_, std::adopt_lock) {
+      analysis::note_release(&m);
+    }
+    ~Lend() {
+      analysis::note_acquire(&m, m.rank_, m.name_);
+      (void)inner.release();
+    }
+    Lend(const Lend&) = delete;
+    Lend& operator=(const Lend&) = delete;
+
+    Mutex& m;
+    std::unique_lock<std::mutex> inner;
+  };
+
+  void park(UniqueLock& lk) {
+    Lend lent(lk);
+    cv_.wait(lent.inner);
+  }
+
+  template <typename Clock, typename Duration>
+  std::cv_status park_until(
+      UniqueLock& lk, const std::chrono::time_point<Clock, Duration>& tp) {
+    Lend lent(lk);
+    return cv_.wait_until(lent.inner, tp);
+  }
+
+  template <typename Clock, typename Duration, typename Pred>
+  bool park_until(UniqueLock& lk,
+                  const std::chrono::time_point<Clock, Duration>& tp,
+                  Pred& pred) {
+    while (!pred()) {
+      if (park_until(lk, tp) == std::cv_status::timeout) return pred();
+    }
+    return true;
+  }
+
   template <typename Rep, typename Period>
   static std::int64_t rel_ns(const std::chrono::duration<Rep, Period>& d) {
     auto ns =
@@ -456,7 +511,7 @@ class CondVar {
     return timed_out;
   }
 
-  std::condition_variable_any cv_;
+  std::condition_variable cv_;
 };
 
 }  // namespace ntcs

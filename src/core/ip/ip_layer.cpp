@@ -422,7 +422,7 @@ void IpLayer::on_nd_event(const NdEvent& ev, const IpEventSink& up) {
         drop_undecodable(env.error());
         return;
       }
-      on_envelope(ev.lvc, env.value(), envelope, up);
+      on_envelope(ev, env.value(), envelope, up);
       return;
     }
   }
@@ -485,8 +485,9 @@ void IpLayer::on_lvc_closed(LvcId lvc, const IpEventSink& up) {
   for (const IpEvent& e : events) up(e);
 }
 
-void IpLayer::on_envelope(LvcId lvc, const wire::IpView& env,
+void IpLayer::on_envelope(const NdEvent& ev, const wire::IpView& env,
                           ntcs::BytesView envelope, const IpEventSink& up) {
+  const LvcId lvc = ev.lvc;
   const IvcHandle h{lvc, env.ivc};
   switch (env.kind) {
     case wire::IpKind::data: {
@@ -569,7 +570,7 @@ void IpLayer::on_envelope(LvcId lvc, const wire::IpView& env,
         return;
       }
       if (is_local) {
-        up(IpEvent{IpEvent::Kind::message, h, env.body});
+        up(IpEvent{IpEvent::Kind::message, h, env.body, ev.peer_temporary});
         return;
       }
       // Data for an IVC this node no longer knows (raced teardown, stale

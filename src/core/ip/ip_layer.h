@@ -75,6 +75,8 @@ struct IpEvent {
   /// kind == message: a view into the ND event's buffer, valid for the
   /// duration of the upcall.
   ntcs::BytesView lcm_msg;
+  /// kind == message: NdEvent::peer_temporary of the carrying LVC.
+  bool peer_temporary = false;
 };
 
 /// Where the IP-Layer hands its events (the LCM-Layer, on the pump).
@@ -231,7 +233,7 @@ class IpLayer {
 
   ntcs::Result<std::vector<GatewayRecord>> topology(bool static_only);
   void on_lvc_closed(LvcId lvc, const IpEventSink& up);
-  void on_envelope(LvcId lvc, const wire::IpView& env,
+  void on_envelope(const NdEvent& ev, const wire::IpView& env,
                    ntcs::BytesView envelope, const IpEventSink& up);
   void drop_undecodable(const ntcs::Error& e);
   void remove_relay_entry(IvcHandle h);

@@ -280,8 +280,7 @@ void LcmLayer::cache_destination(UAdd uadd, ResolvedDest dest) {
   resolved_cache_[uadd] = std::move(dest);
 }
 
-UAdd LcmLayer::chase_forward(UAdd dst) {
-  ntcs::LockGuard lk(mu_);
+UAdd LcmLayer::chase_forward_locked(UAdd dst) {
   UAdd cur = dst;
   for (int hops = 0; hops < 16; ++hops) {
     auto it = forwards_.find(cur);
@@ -291,6 +290,17 @@ UAdd LcmLayer::chase_forward(UAdd dst) {
   // Path compression: future sends jump straight to the live end.
   if (cur != dst) forwards_[dst] = cur;
   return cur;
+}
+
+LcmLayer::Route LcmLayer::route_locked(UAdd dst) {
+  Route r;
+  r.cur = chase_forward_locked(dst);
+  auto it = conns_.find(r.cur);
+  if (it != conns_.end()) {
+    r.h = it->second;
+    r.have = true;
+  }
+  return r;
 }
 
 ntcs::Result<ResolvedDest> LcmLayer::resolved_for(UAdd dst) {
@@ -324,21 +334,24 @@ ntcs::Result<ResolvedDest> LcmLayer::resolved_for(UAdd dst) {
 }
 
 ntcs::Result<ntcs::BytesView> LcmLayer::encode_body(
-    const Body& body, convert::Arch peer_arch, convert::XferMode& mode_out,
+    const Body& body, LvcId lvc, convert::XferMode& mode_out,
     ntcs::Bytes& packed) {
   // §5: the decision to convert is taken here, at the lowest layer where
   // the destination machine type is visible. No pack routine means the
-  // application vouches for representation independence.
-  if (body.pack != nullptr &&
-      convert::choose_mode(identity_->arch(), peer_arch) ==
-          convert::XferMode::packed) {
+  // application vouches for representation independence, so the peer's
+  // type (learned in the channel-open exchange, §3.3) is not even needed.
+  mode_out = convert::XferMode::image;
+  if (body.pack == nullptr) return body.image;
+  const convert::Arch peer_arch =
+      ip_.nd().peer_arch(lvc).value_or(identity_->arch());
+  if (convert::choose_mode(identity_->arch(), peer_arch) ==
+      convert::XferMode::packed) {
     mode_out = convert::XferMode::packed;
     auto out = (*body.pack)();
     if (!out) return out.error();
     packed = std::move(out.value());
     return ntcs::BytesView(packed);
   }
-  mode_out = convert::XferMode::image;
   return body.image;
 }
 
@@ -347,14 +360,15 @@ ntcs::Result<IvcHandle> LcmLayer::send_message(UAdd dst, wire::LcmKind kind,
                                                const Body& body,
                                                const SendOptions& opts,
                                                int fault_retries,
-                                               PendingRequest* stamp) {
+                                               PendingRequest* stamp,
+                                               const Route* first) {
   if (g_recursion_depth > cfg_.max_recursion_depth) {
     static metrics::Counter& m_trips = metrics::counter("lcm.recursion_trips");
     m_trips.inc();
+    recursion_trips_.fetch_add(1, std::memory_order_relaxed);
     ErrorHook hook;
     {
       ntcs::LockGuard lk(mu_);
-      ++stats_.recursion_trips;
       hook = error_hook_;
     }
     if (hook) {
@@ -393,20 +407,19 @@ ntcs::Result<IvcHandle> LcmLayer::send_message(UAdd dst, wire::LcmKind kind,
       }
       std::this_thread::sleep_for(delay);
     }
-    const UAdd cur = chase_forward(dst);
+    Route route;
+    if (attempt == 0 && first != nullptr) {
+      route = *first;
+    } else {
+      ntcs::LockGuard lk(mu_);
+      route = route_locked(dst);
+    }
+    const UAdd cur = route.cur;
 
     // Establish (or reuse) the circuit — "with the underlying IVCs being
     // established as needed".
-    IvcHandle h;
-    bool have = false;
-    {
-      ntcs::LockGuard lk(mu_);
-      auto it = conns_.find(cur);
-      if (it != conns_.end()) {
-        h = it->second;
-        have = true;
-      }
-    }
+    IvcHandle h = route.h;
+    bool have = route.have;
     if (!have) {
       auto rd = resolved_for(cur);
       if (!rd) {
@@ -436,25 +449,21 @@ ntcs::Result<IvcHandle> LcmLayer::send_message(UAdd dst, wire::LcmKind kind,
             ntcs::LockGuard lk(mu_);
             conns_[cur] = h;
             if (reconnect_pending_.erase(cur) > 0) reconnected = true;
-            if (reconnected) ++stats_.reconnects;
           }
           if (reconnected) {
             static metrics::Counter& m_reconnects =
                 metrics::counter("lcm.reconnects");
             m_reconnects.inc();
+            reconnects_.fetch_add(1, std::memory_order_relaxed);
           }
         }
       }
     }
 
     if (have) {
-      // Conversion-mode decision needs the peer machine type, learned in
-      // the channel-open exchange (§3.3).
-      const convert::Arch peer_arch =
-          ip_.nd().peer_arch(h.lvc).value_or(identity_->arch());
       convert::XferMode mode = convert::XferMode::image;
       ntcs::Bytes packed;
-      auto image = encode_body(body, peer_arch, mode, packed);
+      auto image = encode_body(body, h.lvc, mode, packed);
       if (!image) return image.error();
 
       wire::LcmHeader hdr;
@@ -493,10 +502,10 @@ ntcs::Result<IvcHandle> LcmLayer::send_message(UAdd dst, wire::LcmKind kind,
     static metrics::Counter& m_faults = metrics::counter("lcm.address_faults");
     m_faults.inc();
     health::journal_note(health::EventKind::failover, "lcm", "addr_fault");
+    address_faults_.fetch_add(1, std::memory_order_relaxed);
     ErrorHook error_hook;
     {
       ntcs::LockGuard lk(mu_);
-      ++stats_.address_faults;
       conns_.erase(cur);
       resolved_cache_.erase(cur);
       error_hook = error_hook_;
@@ -554,9 +563,9 @@ ntcs::Result<IvcHandle> LcmLayer::send_message(UAdd dst, wire::LcmKind kind,
     if (fwd) {
       static metrics::Counter& m_reloc = metrics::counter("lcm.relocations");
       m_reloc.inc();
+      relocations_.fetch_add(1, std::memory_order_relaxed);
       ntcs::LockGuard lk(mu_);
       forwards_[cur] = fwd.value();
-      ++stats_.relocations;
       log_.info("relocated " + cur.to_string() + " -> " +
                 fwd.value().to_string());
       continue;
@@ -586,15 +595,13 @@ ntcs::Status LcmLayer::send_body(UAdd dst, const Body& body,
   }
   static metrics::Counter& m_sends = metrics::counter("lcm.sends");
   count_app_send(m_sends, opts.internal);
+  sends_.fetch_add(1, std::memory_order_relaxed);
   TimeSource time_source;
   MonitorHook monitor;
-  {
+  if (!opts.internal) {
     ntcs::LockGuard lk(mu_);
-    ++stats_.sends;
-    if (!opts.internal) {
-      time_source = time_source_;
-      monitor = monitor_hook_;
-    }
+    time_source = time_source_;
+    monitor = monitor_hook_;
   }
   // §6.1: "As the application level Send is initiated, control passes to
   // the LCM-layer, which generates a time stamp for monitor data" — which
@@ -616,8 +623,7 @@ ntcs::Status LcmLayer::send_body(UAdd dst, const Body& body,
   return ntcs::Status::success();
 }
 
-std::shared_ptr<LcmSendWindow> LcmLayer::window_for(UAdd dst) {
-  ntcs::LockGuard lk(mu_);
+std::shared_ptr<LcmSendWindow> LcmLayer::window_locked(UAdd dst) {
   auto& w = windows_[dst];
   if (!w) {
     w = std::make_shared<LcmSendWindow>();
@@ -630,7 +636,7 @@ std::shared_ptr<LcmSendWindow> LcmLayer::window_for(UAdd dst) {
   return w;
 }
 
-ntcs::Status LcmLayer::acquire_window(PendingRequest& req) {
+ntcs::Status LcmLayer::acquire_window(PendingRequest& req, bool& parked) {
   static metrics::Counter& m_stalls = metrics::counter("lcm.window_stalls");
   static metrics::Counter& m_rejects =
       metrics::counter("lcm.admission_rejects");
@@ -657,6 +663,7 @@ ntcs::Status LcmLayer::acquire_window(PendingRequest& req) {
       }
       m_pauses.inc();
       busy_pauses_.fetch_add(1, std::memory_order_relaxed);
+      parked = true;
       health::journal_note(health::EventKind::busy, "lcm", "busy_pause");
       while (!w.closed) {
         now = std::chrono::steady_clock::now();
@@ -709,6 +716,7 @@ ntcs::Status LcmLayer::acquire_window(PendingRequest& req) {
   }
   m_stalls.inc();
   window_stalls_.fetch_add(1, std::memory_order_relaxed);
+  parked = true;
   const bool stall_traced = trace::enabled() && req.trace.valid();
   const std::int64_t stall_start = stall_traced ? trace::now_ns() : 0;
   auto node = std::make_shared<LcmSendWindow::Waiter>();
@@ -773,7 +781,6 @@ void LcmLayer::release_window(PendingRequest& req) {
 }
 
 ntcs::Status LcmLayer::issue(const RequestTicket& t) {
-  if (auto st = acquire_window(*t); !st.ok()) return st;
   const std::uint32_t req_id = next_req_id_.fetch_add(1);
   {
     ntcs::LockGuard sl(t->mu);
@@ -782,14 +789,38 @@ ntcs::Status LcmLayer::issue(const RequestTicket& t) {
     t->via_ivc.store(0);
   }
   t->req_id = req_id;
+  // One lcm.state section for the whole issue. The entry waits in the
+  // table during admission harmlessly: no reply can name it before it is
+  // sent, and no circuit close can match it before it is stamped.
+  const bool first_issue = t->window == nullptr;
+  TimeSource time_source;
+  Route route;
   {
     ntcs::LockGuard lk(mu_);
+    if (first_issue) {
+      t->window = window_locked(t->dst);
+      if (!t->opts.internal) time_source = time_source_;
+    }
+    route = route_locked(t->dst);
     pending_[req_id] = t;
   }
+  // §6.1: the monitor time stamp is taken once, at first issue; it may
+  // itself communicate, recursively.
+  if (time_source) t->ts = time_source();
+  bool parked = false;
+  auto st = acquire_window(*t, parked);
+  if (!st.ok()) {
+    ntcs::LockGuard lk(mu_);
+    pending_.erase(req_id);
+    return st;
+  }
   // send_message stamps the ticket with each circuit before sending on it.
+  // The route looked up above is stale once other work could have run: a
+  // time-source call or a wait in the window.
+  const bool route_fresh = !time_source && !parked;
   auto sent = send_message(t->dst, wire::LcmKind::request, req_id,
                            Body::of(t->payload), t->opts, cfg_.fault_retries,
-                           t.get());
+                           t.get(), route_fresh ? &route : nullptr);
   if (!sent) {
     {
       ntcs::LockGuard lk(mu_);
@@ -813,12 +844,7 @@ ntcs::Result<RequestTicket> LcmLayer::request_async(UAdd dst, Payload&& p,
   }
   static metrics::Counter& m_requests = metrics::counter("lcm.requests");
   count_app_send(m_requests, opts.internal);
-  TimeSource time_source;
-  {
-    ntcs::LockGuard lk(mu_);
-    ++stats_.requests;
-    if (!opts.internal) time_source = time_source_;
-  }
+  requests_.fetch_add(1, std::memory_order_relaxed);
   auto t = std::make_shared<PendingRequest>();
   t->dst = dst;
   t->payload = std::move(p);
@@ -831,9 +857,7 @@ ntcs::Result<RequestTicket> LcmLayer::request_async(UAdd dst, Payload&& p,
       opts.timeout.count() != 0 ? opts.timeout : cfg_.request_timeout;
   t->deadline = std::chrono::steady_clock::now() + timeout;
   t->retries_left = cfg_.fault_retries;
-  t->ts = time_source ? time_source() : 0;
   t->trace = trace::current();
-  t->window = window_for(dst);
   if (auto st = issue(t); !st.ok()) return st.error();
   return t;
 }
@@ -854,16 +878,13 @@ ntcs::Result<Reply> LcmLayer::await(const RequestTicket& t) {
       }
     }
     release_window(*t);
+    MonitorHook monitor;
     {
       ntcs::LockGuard lk(mu_);
       pending_.erase(t->req_id);
+      if (outcome.ok() && !t->opts.internal) monitor = monitor_hook_;
     }
     if (outcome.ok()) {
-      MonitorHook monitor;
-      if (!t->opts.internal) {
-        ntcs::LockGuard lk(mu_);
-        monitor = monitor_hook_;
-      }
       if (monitor) {
         MonitorSample s;
         s.src = identity_->uadd();
@@ -928,17 +949,12 @@ ntcs::Status LcmLayer::reply_body(const ReplyCtx& ctx, const Body& body) {
   if (!ctx.valid()) {
     return ntcs::Status(ntcs::Errc::bad_argument, "invalid reply context");
   }
-  {
-    ntcs::LockGuard lk(mu_);
-    ++stats_.replies;
-  }
+  replies_.fetch_add(1, std::memory_order_relaxed);
   static metrics::Counter& m_replies = metrics::counter("lcm.replies");
   m_replies.inc();
-  const convert::Arch peer_arch =
-      ip_.nd().peer_arch(ctx.via.lvc).value_or(identity_->arch());
   convert::XferMode mode = convert::XferMode::image;
   ntcs::Bytes packed;
-  auto image = encode_body(body, peer_arch, mode, packed);
+  auto image = encode_body(body, ctx.via.lvc, mode, packed);
   if (!image) return image.error();
 
   wire::LcmHeader hdr;
@@ -989,10 +1005,7 @@ ntcs::Status LcmLayer::dgram_body(UAdd dst, const Body& body,
   if (!dst.valid()) {
     return ntcs::Status(ntcs::Errc::bad_argument, "invalid destination");
   }
-  {
-    ntcs::LockGuard lk(mu_);
-    ++stats_.dgrams;
-  }
+  dgrams_.fetch_add(1, std::memory_order_relaxed);
   static metrics::Counter& m_dgrams = metrics::counter("lcm.dgrams");
   count_app_send(m_dgrams, opts.internal);
   // Connectionless: one resolution attempt, no relocation recovery.
@@ -1020,17 +1033,28 @@ void LcmLayer::on_ip_event(const IpEvent& ev) {
       const wire::LcmView& m = decoded.value();
 
       // TAdd purge (§3.4): a peer that introduced itself with a TAdd is
-      // re-keyed the moment a message carries its real UAdd.
-      if (m.header.src.valid() && !m.header.src.is_temporary()) {
-        if (ip_.nd().peer_is_temporary(ev.via.lvc)) {
-          ip_.nd().promote_peer(ev.via.lvc, m.header.src);
-          ntcs::LockGuard lk(mu_);
-          ++stats_.tadds_promoted;
-        }
-        // Cache the reverse mapping so sends to this peer reuse the
-        // inbound circuit (and pick up its post-relocation incarnation).
+      // re-keyed the moment a message carries its real UAdd. (The ND-Layer
+      // read the peer's TAdd status as it reassembled this message.)
+      const bool real_src =
+          m.header.src.valid() && !m.header.src.is_temporary();
+      if (real_src && ev.peer_temporary) {
+        ip_.nd().promote_peer(ev.via.lvc, m.header.src);
+        tadds_promoted_.fetch_add(1, std::memory_order_relaxed);
+      }
+      // One lcm.state section per message: cache the reverse mapping so
+      // sends to this peer reuse the inbound circuit (and pick up its
+      // post-relocation incarnation), and find a reply's request.
+      // Correlation: the reply finds its request by ID, regardless of how
+      // many requests are interleaved on this circuit.
+      const bool is_reply = m.header.kind == wire::LcmKind::reply;
+      RequestTicket t;
+      if (real_src || is_reply) {
         ntcs::LockGuard lk(mu_);
-        conns_[m.header.src] = ev.via;
+        if (real_src) conns_[m.header.src] = ev.via;
+        if (is_reply) {
+          auto it = pending_.find(m.header.req_id);
+          if (it != pending_.end()) t = it->second;
+        }
       }
 
       // The payload's one copy on the way up: out of the received buffer
@@ -1052,10 +1076,7 @@ void LcmLayer::on_ip_event(const IpEvent& ev) {
       switch (m.header.kind) {
         case wire::LcmKind::data:
         case wire::LcmKind::dgram: {
-          {
-            ntcs::LockGuard lk(mu_);
-            ++stats_.received;
-          }
+          received_.fetch_add(1, std::memory_order_relaxed);
           m_received.inc();
           if (trace::enabled() && in.trace.valid()) {
             trace::record_event(in.trace, "lcm", "deliver",
@@ -1084,10 +1105,7 @@ void LcmLayer::on_ip_event(const IpEvent& ev) {
           in.is_request = true;
           in.reply_ctx =
               ReplyCtx{ev.via, m.header.req_id, m.header.src, in.trace};
-          {
-            ntcs::LockGuard lk(mu_);
-            ++stats_.received;
-          }
+          received_.fetch_add(1, std::memory_order_relaxed);
           m_received.inc();
           if (trace::enabled() && in.trace.valid()) {
             trace::record_event(in.trace, "lcm", "deliver",
@@ -1139,20 +1157,13 @@ void LcmLayer::on_ip_event(const IpEvent& ev) {
                 metrics::counter("lcm.busy_received");
             m_busy_recv.inc();
             health::journal_note(health::EventKind::busy, "lcm", "busy_recv");
-            RequestTicket t;
-            {
-              ntcs::LockGuard lk(mu_);
-              auto it = pending_.find(m.header.req_id);
-              if (it != pending_.end()) t = it->second;
-            }
             if (t && t->window) {
               ntcs::LockGuard wl(t->window->mu);
               t->window->busy_until =
                   std::chrono::steady_clock::now() + cfg_.busy_pause;
             }
-            complete(m.header.req_id,
-                     ntcs::Error(ntcs::Errc::overloaded,
-                                 "request shed by overloaded receiver"));
+            complete(t, ntcs::Error(ntcs::Errc::overloaded,
+                                    "request shed by overloaded receiver"));
             return;
           }
           Reply r;
@@ -1163,9 +1174,7 @@ void LcmLayer::on_ip_event(const IpEvent& ev) {
             trace::record_event(in.trace, "lcm", "complete",
                                 identity_->name());
           }
-          // Correlation: the reply finds its request by ID, regardless of
-          // how many requests are interleaved on this circuit.
-          complete(m.header.req_id, std::move(r));
+          complete(t, std::move(r));
           return;
         }
       }
@@ -1216,14 +1225,8 @@ void LcmLayer::on_ip_event(const IpEvent& ev) {
   }
 }
 
-void LcmLayer::complete(std::uint32_t req_id, ntcs::Result<Reply> result) {
-  RequestTicket t;
-  {
-    ntcs::LockGuard lk(mu_);
-    auto it = pending_.find(req_id);
-    if (it == pending_.end()) return;  // late reply after timeout: dropped
-    t = it->second;
-  }
+void LcmLayer::complete(const RequestTicket& t, ntcs::Result<Reply> result) {
+  if (!t) return;  // late reply after timeout: dropped
   {
     ntcs::LockGuard sl(t->mu);
     if (!t->result) {
@@ -1268,17 +1271,30 @@ void LcmLayer::shutdown() {
   }
 }
 
-UAdd LcmLayer::current_target(UAdd dst) { return chase_forward(dst); }
+UAdd LcmLayer::current_target(UAdd dst) {
+  ntcs::LockGuard lk(mu_);
+  return chase_forward_locked(dst);
+}
 
 LcmLayer::Stats LcmLayer::stats() const {
-  ntcs::LockGuard lk(mu_);
-  Stats out = stats_;
-  out.window_stalls = window_stalls_.load(std::memory_order_relaxed);
-  out.shed = shed_.load(std::memory_order_relaxed);
-  out.busy_frames = busy_frames_.load(std::memory_order_relaxed);
-  out.busy_pauses = busy_pauses_.load(std::memory_order_relaxed);
-  out.admission_rejects = admission_rejects_.load(std::memory_order_relaxed);
-  out.waiter_sweeps = waiter_sweeps_.load(std::memory_order_relaxed);
+  constexpr auto r = std::memory_order_relaxed;
+  Stats out;
+  out.sends = sends_.load(r);
+  out.requests = requests_.load(r);
+  out.replies = replies_.load(r);
+  out.dgrams = dgrams_.load(r);
+  out.received = received_.load(r);
+  out.address_faults = address_faults_.load(r);
+  out.relocations = relocations_.load(r);
+  out.reconnects = reconnects_.load(r);
+  out.recursion_trips = recursion_trips_.load(r);
+  out.tadds_promoted = tadds_promoted_.load(r);
+  out.window_stalls = window_stalls_.load(r);
+  out.shed = shed_.load(r);
+  out.busy_frames = busy_frames_.load(r);
+  out.busy_pauses = busy_pauses_.load(r);
+  out.admission_rejects = admission_rejects_.load(r);
+  out.waiter_sweeps = waiter_sweeps_.load(r);
   return out;
 }
 

@@ -291,34 +291,46 @@ class LcmLayer {
     }
   };
 
+  /// Where a send to some destination goes: the live end of its
+  /// forwarding chain (§3.5) and the circuit to it, when one is open.
+  struct Route {
+    UAdd cur;
+    IvcHandle h;
+    bool have = false;
+  };
+  Route route_locked(UAdd dst) REQUIRES(mu_);
   /// Follow the forwarding-address table (§3.5).
-  UAdd chase_forward(UAdd dst);
+  UAdd chase_forward_locked(UAdd dst) REQUIRES(mu_);
   ntcs::Result<ResolvedDest> resolved_for(UAdd dst);
   /// Core send with circuit establishment and address-fault recovery.
   /// On success returns the IVC used. A request's ticket (`stamp`) is
-  /// stamped with each circuit before the frame leaves on it.
+  /// stamped with each circuit before the frame leaves on it. `first`, if
+  /// given, is the first attempt's route, already looked up by the caller.
   ntcs::Result<IvcHandle> send_message(UAdd dst, wire::LcmKind kind,
                                        std::uint32_t req_id, const Body& body,
                                        const SendOptions& opts,
                                        int fault_retries,
-                                       PendingRequest* stamp = nullptr);
-  /// The wire image of a body for a peer of `peer_arch`: a view of the
+                                       PendingRequest* stamp = nullptr,
+                                       const Route* first = nullptr);
+  /// The wire image of a body for the peer on `lvc`: a view of the
   /// caller's image, or of `packed` when the pack routine ran.
-  ntcs::Result<ntcs::BytesView> encode_body(const Body& body,
-                                            convert::Arch peer_arch,
+  ntcs::Result<ntcs::BytesView> encode_body(const Body& body, LvcId lvc,
                                             convert::XferMode& mode_out,
                                             ntcs::Bytes& packed);
   ntcs::Status send_body(UAdd dst, const Body& body, SendOptions opts);
   ntcs::Status reply_body(const ReplyCtx& ctx, const Body& body);
   ntcs::Status dgram_body(UAdd dst, const Body& body, SendOptions opts);
-  /// (Re-)issue a pending request: window admission, fresh correlation ID,
-  /// table insert, send.
+  /// (Re-)issue a pending request: fresh correlation ID, table insert,
+  /// window admission, send.
   ntcs::Status issue(const RequestTicket& t);
-  /// Deliver a result to the pending request with this correlation ID (or
-  /// drop it if the request already finished) and free its window slot.
-  void complete(std::uint32_t req_id, ntcs::Result<Reply> result);
-  std::shared_ptr<LcmSendWindow> window_for(UAdd dst);
-  ntcs::Status acquire_window(PendingRequest& req);
+  /// Deliver a result to a pending request found in the table (null: the
+  /// request already finished, and the result is dropped) and free its
+  /// window slot.
+  void complete(const RequestTicket& t, ntcs::Result<Reply> result);
+  std::shared_ptr<LcmSendWindow> window_locked(UAdd dst) REQUIRES(mu_);
+  /// Admission through the request's send window; `parked` tells whether
+  /// it had to wait for a slot.
+  ntcs::Status acquire_window(PendingRequest& req, bool& parked);
   void release_window(PendingRequest& req);
 
   IpLayer& ip_;
@@ -345,15 +357,23 @@ class LcmLayer {
   /// is keyed the same way).
   std::unordered_map<UAdd, std::shared_ptr<LcmSendWindow>> windows_
       GUARDED_BY(mu_);
-  // sync: relaxed stat counter (bumped under window locks where taking
-  // lcm.state would invert the rank order).
-  std::atomic<std::uint64_t> window_stalls_{0};
-  // sync: overload-control counters, relaxed — bumped on the pump thread
-  // and under window locks, where taking lcm.state would invert the lock
-  // order; same contract as window_stalls_.
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> busy_frames_{0};       // sync: as above
-  std::atomic<std::uint64_t> busy_pauses_{0};       // sync: as above
+  // sync: relaxed stat counters behind stats(), bumped on callers, the
+  // pump and under window locks without lcm.state; none orders other
+  // memory.
+  std::atomic<std::uint64_t> sends_{0};
+  std::atomic<std::uint64_t> requests_{0};           // sync: as above
+  std::atomic<std::uint64_t> replies_{0};            // sync: as above
+  std::atomic<std::uint64_t> dgrams_{0};             // sync: as above
+  std::atomic<std::uint64_t> received_{0};           // sync: as above
+  std::atomic<std::uint64_t> address_faults_{0};     // sync: as above
+  std::atomic<std::uint64_t> relocations_{0};        // sync: as above
+  std::atomic<std::uint64_t> reconnects_{0};         // sync: as above
+  std::atomic<std::uint64_t> recursion_trips_{0};    // sync: as above
+  std::atomic<std::uint64_t> tadds_promoted_{0};     // sync: as above
+  std::atomic<std::uint64_t> window_stalls_{0};      // sync: as above
+  std::atomic<std::uint64_t> shed_{0};               // sync: as above
+  std::atomic<std::uint64_t> busy_frames_{0};        // sync: as above
+  std::atomic<std::uint64_t> busy_pauses_{0};        // sync: as above
   std::atomic<std::uint64_t> admission_rejects_{0};  // sync: as above
   std::atomic<std::uint64_t> waiter_sweeps_{0};      // sync: as above
   /// Name-Server candidates per well-known NS UAdd (the classic server
@@ -376,7 +396,6 @@ class LcmLayer {
   // bound: LcmConfig::max_inbound_queue, with control_reserve slots kept
   // for internal-class deliveries (overload control).
   ntcs::BlockingQueue<Incoming> app_queue_;
-  Stats stats_ GUARDED_BY(mu_);
 };
 
 }  // namespace ntcs::core

@@ -48,10 +48,7 @@ ntcs::Result<LvcId> NdLayer::open(const PhysAddr& dst) {
   if (!port_) {
     return ntcs::Error(ntcs::Errc::bad_argument, "ND-Layer not bound");
   }
-  {
-    ntcs::LockGuard lk(mu_);
-    ++stats_.opens_initiated;
-  }
+  opens_initiated_.fetch_add(1, std::memory_order_relaxed);
   static metrics::Counter& m_opens = metrics::counter("nd.opens");
   static metrics::Counter& m_retries = metrics::counter("nd.open_retries");
   static metrics::Histogram& m_open_ns = metrics::histogram("nd.open_ns");
@@ -69,10 +66,10 @@ ntcs::Result<LvcId> NdLayer::open(const PhysAddr& dst) {
       {
         ntcs::LockGuard lk(mu_);
         delay = backoff.next(rng_);
-        ++stats_.open_retries;
         health::journal_note(health::EventKind::retry, "nd", "open_retry",
                              static_cast<std::uint64_t>(attempt));
       }
+      open_retries_.fetch_add(1, std::memory_order_relaxed);
       m_retries.inc();
       std::this_thread::sleep_for(delay);
     }
@@ -173,8 +170,8 @@ ntcs::Status NdLayer::send(LvcId lvc, wire::HeaderBuf& head,
       return ntcs::Status(ntcs::Errc::address_fault, "LVC is gone");
     }
     tx = it->second.tx;
-    ++stats_.messages_sent;
   }
+  messages_sent_.fetch_add(1, std::memory_order_relaxed);
   static metrics::Counter& m_sent = metrics::counter("nd.msgs_sent");
   m_sent.inc();
   head.push_nd_payload();
@@ -225,13 +222,10 @@ ntcs::Status NdLayer::send_frames(LvcId lvc, std::shared_ptr<TxState> tx,
     }
   }
   m_no_copy.inc(frames);
+  frag_copies_avoided_.fetch_add(frames, std::memory_order_relaxed);
   if (tctx.valid()) {
     trace::record_child(tctx, "nd", "fragment", identity_->name(), frag_start,
                         trace::now_ns(), static_cast<std::uint32_t>(frames));
-  }
-  {
-    ntcs::LockGuard lk(mu_);
-    stats_.frag_copies_avoided += frames;
   }
   return ntcs::Status::success();
 }
@@ -242,9 +236,9 @@ ntcs::Status NdLayer::close(LvcId lvc) {
     if (lvcs_.erase(lvc) == 0) {
       return ntcs::Status(ntcs::Errc::not_found, "no such LVC");
     }
-    ++stats_.lvcs_closed;
     publish_channels(lvcs_.size());
   }
+  lvcs_closed_.fetch_add(1, std::memory_order_relaxed);
   if (port_) (void)port_->close_channel(lvc);
   return ntcs::Status::success();
 }
@@ -278,7 +272,6 @@ ntcs::Result<std::optional<NdEvent>> NdLayer::handle_delivery(IpcsDelivery d) {
       {
         ntcs::LockGuard lk(mu_);
         known = lvcs_.erase(d.chan) != 0;
-        if (known) ++stats_.lvcs_closed;
         publish_channels(lvcs_.size());
         auto wit = open_waiters_.find(d.chan);
         if (wit != open_waiters_.end()) {
@@ -293,6 +286,7 @@ ntcs::Result<std::optional<NdEvent>> NdLayer::handle_delivery(IpcsDelivery d) {
         waiter->cv.notify_all();
       }
       if (!known) return std::optional<NdEvent>{};
+      lvcs_closed_.fetch_add(1, std::memory_order_relaxed);
       NdEvent ev;
       ev.kind = NdEvent::Kind::closed;
       ev.lvc = d.chan;
@@ -304,6 +298,7 @@ ntcs::Result<std::optional<NdEvent>> NdLayer::handle_delivery(IpcsDelivery d) {
           metrics::counter("nd.frames_resynced");
       ntcs::Bytes complete;
       std::size_t offset = 0;
+      bool peer_temporary = false;
       {
         ntcs::LockGuard lk(mu_);
         auto it = lvcs_.find(d.chan);
@@ -318,7 +313,7 @@ ntcs::Result<std::optional<NdEvent>> NdLayer::handle_delivery(IpcsDelivery d) {
         if (fed.value().dropped) {
           // Duplicate or stale frame from a misbehaving substrate — the
           // application must never see it twice (or late).
-          ++stats_.frames_deduped;
+          frames_deduped_.fetch_add(1, std::memory_order_relaxed);
           m_dedup.inc();
           if (trace::enabled()) {
             // A dropped frame never reassembles, so its trace context is
@@ -335,7 +330,7 @@ ntcs::Result<std::optional<NdEvent>> NdLayer::handle_delivery(IpcsDelivery d) {
           // upward") but the stream continues cleanly from here. Orphan
           // continuations (head frame lost before the resync point) are
           // part of the same loss event.
-          ++stats_.frames_resynced;
+          frames_resynced_.fetch_add(1, std::memory_order_relaxed);
           m_resync.inc();
           if (trace::enabled()) {
             trace::record_event(trace::TraceContext{}, "nd", "resync",
@@ -351,6 +346,10 @@ ntcs::Result<std::optional<NdEvent>> NdLayer::handle_delivery(IpcsDelivery d) {
         } else {
           complete = it->second.reassembler.take();
         }
+        // The LCM-Layer's TAdd purge (§3.4) needs this, and the lock is
+        // already held.
+        peer_temporary = it->second.open_complete &&
+                         it->second.peer.uadd.is_temporary();
       }
       if (trace::enabled()) {
         // Receive side has no thread-local context: peek it out of the
@@ -363,14 +362,15 @@ ntcs::Result<std::optional<NdEvent>> NdLayer::handle_delivery(IpcsDelivery d) {
               static_cast<std::uint32_t>(msg.size()));
         }
       }
-      return handle_message(d.chan, std::move(complete), offset);
+      return handle_message(d.chan, std::move(complete), offset,
+                            peer_temporary);
     }
   }
   return std::optional<NdEvent>{};
 }
 
 ntcs::Result<std::optional<NdEvent>> NdLayer::handle_message(
-    LvcId lvc, ntcs::Bytes buffer, std::size_t offset) {
+    LvcId lvc, ntcs::Bytes buffer, std::size_t offset, bool peer_temporary) {
   const ntcs::BytesView msg = ntcs::BytesView(buffer).subspan(offset);
   auto view = wire::decode_nd_view(msg);
   if (!view) {
@@ -378,10 +378,7 @@ ntcs::Result<std::optional<NdEvent>> NdLayer::handle_message(
     return std::optional<NdEvent>{};
   }
   if (view.value().kind == wire::NdKind::payload) {
-    {
-      ntcs::LockGuard lk(mu_);
-      ++stats_.messages_received;
-    }
+    messages_received_.fetch_add(1, std::memory_order_relaxed);
     static metrics::Counter& m_recv = metrics::counter("nd.msgs_received");
     m_recv.inc();
     NdEvent ev;
@@ -389,6 +386,7 @@ ntcs::Result<std::optional<NdEvent>> NdLayer::handle_message(
     ev.lvc = lvc;
     ev.buffer = std::move(buffer);
     ev.offset = offset + wire::kNdPrologueSize;
+    ev.peer_temporary = peer_temporary;
     return std::optional<NdEvent>{std::move(ev)};
   }
   // The open exchange carries variable fields: the reference decoder.
@@ -410,13 +408,13 @@ ntcs::Result<std::optional<NdEvent>> NdLayer::handle_message(
         it->second.peer.arch = arch.value_or(convert::Arch::vax780);
         it->second.peer.phys = PhysAddr{m.open.src_phys};
         it->second.open_complete = true;
-        ++stats_.opens_accepted;
         // Cache the peer's UAdd -> phys mapping learned from the exchange
         // (§3.3) — unless it is a TAdd, which has no meaning for location.
         if (m.open.src_uadd.valid() && !m.open.src_uadd.is_temporary()) {
           phys_cache_[m.open.src_uadd] = PhysAddr{m.open.src_phys};
         }
       }
+      opens_accepted_.fetch_add(1, std::memory_order_relaxed);
       wire::NdOpenAck ack;
       ack.uadd = identity_->uadd();
       ack.arch = convert::arch_wire_id(identity_->arch());
@@ -468,13 +466,6 @@ std::optional<convert::Arch> NdLayer::peer_arch(LvcId lvc) const {
   return it->second.peer.arch;
 }
 
-bool NdLayer::peer_is_temporary(LvcId lvc) const {
-  ntcs::LockGuard lk(mu_);
-  auto it = lvcs_.find(lvc);
-  return it != lvcs_.end() && it->second.open_complete &&
-         it->second.peer.uadd.is_temporary();
-}
-
 void NdLayer::promote_peer(LvcId lvc, UAdd real) {
   ntcs::LockGuard lk(mu_);
   auto it = lvcs_.find(lvc);
@@ -484,7 +475,7 @@ void NdLayer::promote_peer(LvcId lvc, UAdd real) {
     if (it->second.peer.phys.valid()) {
       phys_cache_[real] = it->second.peer.phys;
     }
-    ++stats_.tadds_promoted;
+    tadds_promoted_.fetch_add(1, std::memory_order_relaxed);
     log_.debug("promoted peer TAdd to " + real.to_string() + " on LVC " +
                std::to_string(lvc));
   }
@@ -513,8 +504,19 @@ void NdLayer::shutdown() {
 }
 
 NdLayer::Stats NdLayer::stats() const {
-  ntcs::LockGuard lk(mu_);
-  return stats_;
+  constexpr auto r = std::memory_order_relaxed;
+  Stats out;
+  out.opens_initiated = opens_initiated_.load(r);
+  out.open_retries = open_retries_.load(r);
+  out.opens_accepted = opens_accepted_.load(r);
+  out.messages_sent = messages_sent_.load(r);
+  out.messages_received = messages_received_.load(r);
+  out.lvcs_closed = lvcs_closed_.load(r);
+  out.tadds_promoted = tadds_promoted_.load(r);
+  out.frames_deduped = frames_deduped_.load(r);
+  out.frames_resynced = frames_resynced_.load(r);
+  out.frag_copies_avoided = frag_copies_avoided_.load(r);
+  return out;
 }
 
 }  // namespace ntcs::core

@@ -19,6 +19,7 @@
 //     real UAdd is learned.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -58,6 +59,9 @@ struct NdEvent {
   /// starts in it. The layers above decode views of it in place.
   ntcs::Bytes buffer;
   std::size_t offset = 0;
+  /// kind == message: the peer is still known by a TAdd (§3.4), read in
+  /// the same nd.state section that reassembled the message.
+  bool peer_temporary = false;
 
   ntcs::BytesView message() const {
     return ntcs::BytesView(buffer).subspan(offset);
@@ -124,9 +128,6 @@ class NdLayer {
   /// The peer's machine type alone (the per-message conversion decision),
   /// without copying its physical address.
   std::optional<convert::Arch> peer_arch(LvcId lvc) const;
-  /// Is the peer still known by a TAdd (§3.4)? False when the channel is
-  /// gone or not yet open.
-  bool peer_is_temporary(LvcId lvc) const;
 
   /// Replace a peer's TAdd with its real UAdd (§3.4 purge). No-op if the
   /// channel is gone.
@@ -195,7 +196,8 @@ class NdLayer {
   /// One complete ND message: buffer[offset..].
   ntcs::Result<std::optional<NdEvent>> handle_message(LvcId lvc,
                                                       ntcs::Bytes buffer,
-                                                      std::size_t offset);
+                                                      std::size_t offset,
+                                                      bool peer_temporary);
   /// Transmit one ND message, `head ++ body`, on the circuit's frame
   /// stream. `tx` is the circuit's transmit state (null: look it up).
   ntcs::Status send_frames(LvcId lvc, std::shared_ptr<TxState> tx,
@@ -218,7 +220,18 @@ class NdLayer {
   std::unordered_map<LvcId, std::shared_ptr<OpenWaiter>> open_waiters_
       GUARDED_BY(mu_);
   std::unordered_map<UAdd, PhysAddr> phys_cache_ GUARDED_BY(mu_);
-  Stats stats_ GUARDED_BY(mu_);
+  // sync: relaxed stat counters behind stats(), bumped without nd.state
+  // on the send path and the pump; none orders other memory.
+  std::atomic<std::uint64_t> opens_initiated_{0};
+  std::atomic<std::uint64_t> open_retries_{0};         // sync: as above
+  std::atomic<std::uint64_t> opens_accepted_{0};       // sync: as above
+  std::atomic<std::uint64_t> messages_sent_{0};        // sync: as above
+  std::atomic<std::uint64_t> messages_received_{0};    // sync: as above
+  std::atomic<std::uint64_t> lvcs_closed_{0};          // sync: as above
+  std::atomic<std::uint64_t> tadds_promoted_{0};       // sync: as above
+  std::atomic<std::uint64_t> frames_deduped_{0};       // sync: as above
+  std::atomic<std::uint64_t> frames_resynced_{0};      // sync: as above
+  std::atomic<std::uint64_t> frag_copies_avoided_{0};  // sync: as above
 };
 
 }  // namespace ntcs::core

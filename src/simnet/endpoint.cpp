@@ -126,8 +126,7 @@ ntcs::Status Endpoint::close_channel(ChannelId chan) {
 void Endpoint::close() { fabric_->close_endpoint(this); }
 
 bool Endpoint::is_closed() const {
-  ntcs::LockGuard lk(mu_);
-  return inbox_closed_;
+  return closed_.load(std::memory_order_acquire);
 }
 
 std::size_t Endpoint::pending() const {
@@ -156,6 +155,7 @@ void Endpoint::close_inbox() {
   {
     ntcs::LockGuard lk(mu_);
     inbox_closed_ = true;
+    closed_.store(true, std::memory_order_release);
   }
   cv_.notify_all();
 }

@@ -15,6 +15,7 @@
 // needs to know a fault plan exists.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -129,6 +130,11 @@ class Endpoint : public std::enable_shared_from_this<Endpoint> {
   // like wire loss; opened/closed always accepted.
   std::priority_queue<Item, std::vector<Item>, Later> inbox_ GUARDED_BY(mu_);
   bool inbox_closed_ GUARDED_BY(mu_) = false;
+  // Mirror of inbox_closed_ for is_closed(), so a send never contends
+  // with this endpoint's own receiver. sync: release-stored under mu_,
+  // acquire-loaded without it; a send that reads it stale was racing the
+  // close anyway.
+  std::atomic<bool> closed_{false};
 };
 
 }  // namespace ntcs::simnet

@@ -129,9 +129,9 @@ TEST_F(Analysis, ReleaseRestoresTheStack) {
 }
 
 TEST_F(Analysis, CondVarWaitKeepsBookkeepingExact) {
-  // condition_variable_any waits release and reacquire through
-  // UniqueLock::unlock()/lock(), so the held-lock stack must read 0 while
-  // parked and 1 again after wakeup — with no spurious inversions.
+  // A CondVar wait notes the lock released for the wait and re-acquired
+  // after it, so the held-lock stack must read 0 while parked and 1 again
+  // after wakeup — with no spurious inversions.
   Mutex mu{lockrank::kLcmRequest, "test.cv"};
   CondVar cv;
   bool ready = false;

@@ -281,29 +281,38 @@ TEST(Pipeline, PendingRequestsRetryAcrossRelocation) {
 }
 
 TEST(Pipeline, DepthMetricAndStallCounterRecorded) {
-  const std::uint64_t stalls_before =
-      metrics::counter("lcm.window_stalls").value();
+  metrics::Counter& stalls = metrics::counter("lcm.window_stalls");
   LcmConfig cfg;
   cfg.window_depth = 2;
   Rig rig(cfg);
-  auto loop = echo_loop(*rig.server);
   auto addr = rig.client->commod().locate("server").value();
-  std::vector<std::jthread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < 4; ++i) {
-        (void)rig.client->commod().request(
-            addr, to_bytes(std::to_string(t * 100 + i)), 10s);
-      }
-    });
+  const std::uint64_t stalls_before = stalls.value();
+  // The gate: nothing answers until the echo loop starts, so two requests
+  // fill the 2-deep window and a third must stall in admission.
+  auto t0 = rig.client->commod().request_async(addr, to_bytes("a"), 10s);
+  auto t1 = rig.client->commod().request_async(addr, to_bytes("b"), 10s);
+  ASSERT_TRUE(t0.ok());
+  ASSERT_TRUE(t1.ok());
+  std::atomic<bool> third_ok{false};
+  std::jthread third([&] {
+    auto r = rig.client->commod().request(addr, to_bytes("c"), 10s);
+    third_ok = r.ok() && to_string(r.value().payload) == "c";
+  });
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (stalls.value() == stalls_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
   }
-  threads.clear();
+  EXPECT_GT(stalls.value(), stalls_before);
+  auto loop = echo_loop(*rig.server);  // open the gate
+  ASSERT_TRUE(rig.client->commod().await(t0.value()).ok());
+  ASSERT_TRUE(rig.client->commod().await(t1.value()).ok());
+  third.join();
+  EXPECT_TRUE(third_ok.load());
   const auto snap = metrics::MetricsRegistry::instance().snapshot();
   const metrics::MetricValue* depth = snap.find("lcm.pipeline_depth");
   ASSERT_NE(depth, nullptr);
   EXPECT_GT(depth->count, 0u);
-  // 16 requests through a 2-deep window from 4 threads: someone stalled.
-  EXPECT_GT(metrics::counter("lcm.window_stalls").value(), stalls_before);
 }
 
 TEST(Pipeline, ParallelNameLookups) {
