@@ -76,7 +76,8 @@ BENCHMARK(BM_RegistrationOnly)->Unit(benchmark::kMicrosecond);
 /// benchmark reports promotions per bring-up as a counter.
 void BM_TAddPurge(benchmark::State& state) {
   BootRig& r = rig();
-  const auto before = r.tb.name_server().node().lcm().stats().tadds_promoted;
+  const metrics::MetricsRegistry& ns = r.tb.name_server().node().metrics();
+  const auto before = ns.snapshot().value("lcm.tadds_promoted");
   std::uint64_t brought_up = 0;
   for (auto _ : state) {
     auto node =
@@ -89,7 +90,7 @@ void BM_TAddPurge(benchmark::State& state) {
     ++brought_up;
     node.value()->stop();
   }
-  const auto after = r.tb.name_server().node().lcm().stats().tadds_promoted;
+  const auto after = ns.snapshot().value("lcm.tadds_promoted");
   state.counters["promotions_per_module"] = benchmark::Counter(
       brought_up == 0
           ? 0.0

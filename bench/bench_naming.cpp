@@ -118,7 +118,7 @@ int main() {
   for (std::size_t i = 0; i < kWorkingSet; ++i) {
     working.push_back(bulk_name((i * 997) % kNames));
   }
-  const auto storm_stats_before = client->nsp().stats();
+  const metrics::Snapshot storm_stats_before = client->metrics().snapshot();
   std::vector<double> storm_us;
   storm_us.reserve(kWorkingSet * kStormRounds);
   for (int round = 0; round < kStormRounds; ++round) {
@@ -133,11 +133,10 @@ int main() {
       }
     }
   }
-  const auto storm_stats_after = client->nsp().stats();
-  const std::uint64_t storm_hits =
-      storm_stats_after.lease_hits - storm_stats_before.lease_hits;
-  const std::uint64_t storm_misses =
-      storm_stats_after.lease_misses - storm_stats_before.lease_misses;
+  const metrics::Snapshot storm_stats =
+      client->metrics().snapshot().delta(storm_stats_before);
+  const std::uint64_t storm_hits = storm_stats.value("nsp.cache_hits");
+  const std::uint64_t storm_misses = storm_stats.value("nsp.cache_misses");
   const double hit_ratio =
       static_cast<double>(storm_hits) /
       static_cast<double>(storm_hits + storm_misses);
@@ -156,8 +155,10 @@ int main() {
       victims.push_back(bulk_name(i));
     }
   }
+  const metrics::MetricsRegistry& standby =
+      tb.shard_standby(kKillShard).node().metrics();
   const std::uint64_t promotions_before =
-      tb.shard_standby(kKillShard).stats().promotions;
+      standby.snapshot().value("ns.failovers");
   std::vector<double> kill_us;
   std::size_t nonretriable = 0;
   std::size_t kill_lookups = 0;
@@ -188,7 +189,7 @@ int main() {
   }
   const double kill_p99 = percentile(kill_us, 0.99);
   const std::uint64_t promotions =
-      tb.shard_standby(kKillShard).stats().promotions - promotions_before;
+      standby.snapshot().value("ns.failovers") - promotions_before;
 
   // ---- phase 4: the 10k-move reconfigure storm ---------------------------
   // Re-register loaded names under the client's own address: each one is a

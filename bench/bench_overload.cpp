@@ -193,15 +193,18 @@ GatewayResult run_gateway_saturation() {
       gw.attachment(i).ip().set_relay_fair_rate(200);
     }
   }
-  static metrics::Counter& drops = metrics::counter("gw.fairness_drops");
-  const std::uint64_t before = drops.value();
+  const std::uint64_t before =
+      metrics::MetricsRegistry::instance().snapshot().value(
+          "gw.fairness_drops");
   constexpr int kStorm = 4000;
   res.offered = kStorm;
   const ntcs::Bytes junk = to_bytes(std::string(64, 'g'));
   for (int i = 0; i < kStorm; ++i) {
     (void)rig.src->commod().send(rig.dst_addr, junk);
   }
-  res.fairness_drops = drops.value() - before;
+  res.fairness_drops = metrics::MetricsRegistry::instance().snapshot().value(
+                           "gw.fairness_drops") -
+                       before;
   // Control-class traffic (naming lookup from the far side, internal on
   // the wire) must cross the saturated relay unmetered.
   res.control_ok = rig.dst->commod().locate("src").ok();

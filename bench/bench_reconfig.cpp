@@ -76,7 +76,8 @@ void BM_FirstRequestAfterRelocation(benchmark::State& state) {
     if (!reply.ok()) state.SkipWithError("post-move request failed");
   }
   state.counters["relocations_resolved"] = benchmark::Counter(
-      static_cast<double>(r.client->lcm().stats().relocations));
+      static_cast<double>(
+          r.client->metrics().snapshot().value("lcm.relocations")));
 }
 BENCHMARK(BM_FirstRequestAfterRelocation)->Unit(benchmark::kMicrosecond);
 

@@ -54,7 +54,8 @@ int main() {
               "nested NSP queries so far: %llu\n",
               tc.synced() ? "yes" : "no",
               static_cast<double>(tc.offset_ns()) / 1e9,
-              static_cast<unsigned long long>(app->nsp().stats().queries));
+              static_cast<unsigned long long>(
+                  app->metrics().snapshot().value("nsp.queries")));
 
   for (int i = 0; i < 9; ++i) {
     (void)app->commod().send(dst, ntcs::to_bytes("steady"));

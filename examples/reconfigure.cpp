@@ -57,13 +57,13 @@ int main() {
     call_worker(machine);
   }
 
-  const auto stats = client->lcm().stats();
+  const ntcs::metrics::Snapshot stats = client->metrics().snapshot();
   std::printf(
       "client LCM: %llu address fault(s) handled, %llu relocation(s) "
       "resolved, %llu reconnect(s)\n",
-      static_cast<unsigned long long>(stats.address_faults),
-      static_cast<unsigned long long>(stats.relocations),
-      static_cast<unsigned long long>(stats.reconnects));
+      static_cast<unsigned long long>(stats.value("lcm.address_faults")),
+      static_cast<unsigned long long>(stats.value("lcm.relocations")),
+      static_cast<unsigned long long>(stats.value("lcm.reconnects")));
   std::printf("forwarding now maps %s -> %s\n", addr.to_string().c_str(),
               client->lcm().current_target(addr).to_string().c_str());
   client->stop();

@@ -108,7 +108,8 @@ int main(int argc, char** argv) {
   std::uint64_t relayed = 0;
   for (std::size_t g = 0; g < tb.gateway_count(); ++g) {
     for (std::size_t i = 0; i < tb.gateway(g).attachment_count(); ++i) {
-      relayed += tb.gateway(g).attachment(i).ip().stats().messages_relayed;
+      relayed += tb.gateway(g).attachment(i).metrics().snapshot().value(
+          "ip.messages_relayed");
     }
   }
   std::printf("gateways relayed %llu message(s) in total\n",

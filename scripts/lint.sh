@@ -65,19 +65,23 @@ fi
 
 echo "== lint: metrics static-ref grep gate =="
 # The metrics cost model (metrics.h header comment) only holds when each
-# instrumentation site resolves its registry lookup once: the lookup takes
-# the kMetricsRegistry mutex and a map find, so a per-event
-# metrics::counter(...) / metrics::histogram(...) call silently turns a
-# relaxed add into a lock acquisition on a hot path. Every such call in
-# src/ must be a `static` local initializer (the cached-static-ref idiom)
-# — `static` on the call line or within the three lines above it — or
-# carry a `// cached:` comment marking a constructor-cached member
-# (name_server.cpp's per-shard counter). Gauges are exempt: gauge wiring
-# is setup-time by construction.
+# instrumentation site resolves its registry lookup once: a lookup takes
+# the metrics.registry mutex and a map find, so a per-event lookup
+# silently turns a relaxed add into a lock acquisition on a hot path.
+# Two idioms are accepted, one per kind of registry:
+#  - a root lookup, metrics::counter(...) / metrics::histogram(...), must
+#    be a `static` local initializer (the cached-static-ref idiom) —
+#    `static` on the call line or within the three lines above it;
+#  - a scope lookup, <registry>.counter(...) / ->counter(...) (and
+#    .histogram), must initialise a member: a default member initializer
+#    or a constructor init list. Anywhere inside a function body it is
+#    rejected, `static` or not — a function-local static would bind every
+#    instance to the first one's scope.
+# Gauges are exempt: gauge wiring is setup-time by construction.
 violations=""
 while IFS=: read -r file line _; do
   start=$((line > 3 ? line - 3 : 1))
-  if ! sed -n "${start},${line}p" "$file" | grep -q -e 'static' -e 'cached:'; then
+  if ! sed -n "${start},${line}p" "$file" | grep -q 'static'; then
     violations="${violations}${file}:${line}"$'\n'
   fi
 done < <(grep -rn \
@@ -86,14 +90,77 @@ done < <(grep -rn \
   src/ --include='*.h' --include='*.cpp' \
   | grep -v '^src/common/metrics\.h:' \
   | grep -v '^src/common/metrics\.cpp:' || true)
+# Scope lookups: a brace scanner over comment- and literal-stripped
+# source. A `{` whose head (the text since the previous `;`, `{` or `}`)
+# names namespace/class/struct/union/enum opens a declaration scope;
+# any other `{` opens code (a function or lambda body, a block, a braced
+# initializer). A lookup is in a member initializer exactly when no code
+# brace encloses it.
+violations="${violations}$(python3 - <<'EOF'
+import pathlib, re
+
+LOOKUP = re.compile(r'(\.|->)\s*(counter|histogram)\s*\(')
+SCOPE_HEAD = re.compile(r'\b(namespace|class|struct|union|enum)\b')
+
+def strip(text):
+    """Blank out comments and string/char literals, keeping newlines."""
+    out, i, n = [], 0, len(text)
+    while i < n:
+        c = text[i]
+        if text.startswith('//', i):
+            j = text.find('\n', i)
+            j = n if j < 0 else j
+            out.append(' ' * (j - i))
+            i = j
+        elif text.startswith('/*', i):
+            j = text.find('*/', i + 2)
+            j = n if j < 0 else j + 2
+            out.append(re.sub(r'[^\n]', ' ', text[i:j]))
+            i = j
+        elif c == '"' or (c == "'" and not (i and text[i - 1].isalnum())):
+            # (A quote after a digit is a digit separator, not a literal.)
+            j = i + 1
+            while j < n and text[j] != c:
+                j += 2 if text[j] == '\\' else 1
+            out.append(c + re.sub(r'[^\n]', ' ', text[i + 1:j]) + c)
+            i = j + 1
+        else:
+            out.append(c)
+            i += 1
+    return ''.join(out)
+
+for path in sorted(pathlib.Path('src').rglob('*')):
+    if path.suffix not in ('.h', '.cpp'):
+        continue
+    if path.as_posix() in ('src/common/metrics.h', 'src/common/metrics.cpp'):
+        continue
+    code = strip(path.read_text())
+    lookups = {m.start() for m in LOOKUP.finditer(code)}
+    stack, head_start = [], 0
+    for i, c in enumerate(code):
+        if i in lookups and 'code' in stack:
+            print(f'{path.as_posix()}:{code.count(chr(10), 0, i) + 1}')
+        if c == '{':
+            head = code[head_start:i]
+            stack.append('scope' if SCOPE_HEAD.search(head) else 'code')
+            head_start = i + 1
+        elif c == '}':
+            if stack:
+                stack.pop()
+            head_start = i + 1
+        elif c == ';':
+            head_start = i + 1
+EOF
+)"
+violations="${violations#$'\n'}"
 if [ -n "$violations" ]; then
-  echo "FAIL: per-event metrics registry lookups (cache the reference:"
-  echo "      'static metrics::Counter& c = metrics::counter(...);' or mark"
-  echo "      a constructor-cached member with '// cached:'):"
-  printf '%s' "$violations"
+  echo "FAIL: per-event metrics registry lookups (cache the reference: a"
+  echo "      root lookup as 'static metrics::Counter& c = metrics::counter(...);',"
+  echo "      a scope lookup as a member initializer):"
+  printf '%s\n' "$violations"
   fail=1
 else
-  echo "ok: every metrics lookup in src/ is a cached static reference"
+  echo "ok: every metrics lookup in src/ is a static root ref or a scope member"
 fi
 
 echo "== lint: STD-IF isolation grep gate =="

@@ -11,7 +11,9 @@
 # 4. Build the chaos suite under TSan and run it repeatedly: the
 #    fault-injection engine plus every layer's recovery path is the most
 #    interleaving-sensitive code in the tree.
-# 5. Trace suite (ctest label `trace`) in the normal build, then repeated
+# 5. Metrics suite (ctest label `metrics`) repeated under TSan: per-node
+#    scopes created, summed and folded while snapshots race them. Then the
+#    trace suite (ctest label `trace`) in the normal build, then repeated
 #    under TSan: the span ring's lock-free writers vs. snapshot readers.
 # 6. Realnet stage: the STD-IF conformance labels (`nd`, `realnet`) plus
 #    the realnet half of the parameterized integration suite, normal build
@@ -80,6 +82,13 @@ ctest --test-dir "$TSAN_DIR" -j"$(nproc)" --output-on-failure \
 ctest --test-dir "$TSAN_DIR" -j"$(nproc)" --output-on-failure \
   -R '^(FaultPlan|FaultInjection|FabricTopology|NdLayer)\.' \
   --repeat until-fail:3
+
+# Metrics suite (label `metrics`) under TSan, repeated until-fail: the
+# per-node scopes are linked into and folded into the process root under
+# its lock while pumps bump their counters and snapshots sum them.
+cmake --build "$TSAN_DIR" -j"$(nproc)" --target metrics_test
+ctest --test-dir "$TSAN_DIR" -j"$(nproc)" --output-on-failure \
+  -L metrics --repeat until-fail:3
 
 # Tracing suite (label `trace`): the wire round trip, the span ring, the
 # gateway-chain span chain and the chaos-harvest acceptance — once in the

@@ -93,11 +93,12 @@ inline constexpr std::uint16_t kDrtsProcessControl = 100;
 // DRTS server state (monitor rollups, error-log ring, file tables):
 // leaf-scoped copies, never held across NTCS calls.
 inline constexpr std::uint16_t kDrtsServer = 110;
-// IP gateway relay/stats state.
-inline constexpr std::uint16_t kGatewayState = 120;
 
-// NSP-Layer: resolver caches and the name-server database. Held only
-// around table mutation/copy; NTCS traffic happens outside.
+// NSP-Layer: the name-server database and static map below. Held only
+// around table mutation/copy; NTCS traffic happens outside. kNspState
+// itself names no production lock (the NSP-Layer's own lock guarded only
+// its statistics, which now live in the module's metrics scope); it stays
+// as the NSP-Layer rank analysis_test orders kNspLease against.
 inline constexpr std::uint16_t kNspState = 200;
 // The NSP shard-map + lease cache (client-side naming state: per-shard
 // epochs, lease entries). Strictly leaf-scoped within the NSP-Layer: a

@@ -30,12 +30,10 @@ struct RawEvent {
   char what[16];
 };
 
-constexpr std::size_t kEventWords = sizeof(RawEvent) / sizeof(std::uint64_t);
-static_assert(sizeof(RawEvent) == 80, "no interior padding expected");
-static_assert(sizeof(RawEvent) % sizeof(std::uint64_t) == 0);
+static_assert(sizeof(RawEvent) ==
+                  Journal::kEventWords * sizeof(std::uint64_t),
+              "no interior padding expected");
 static_assert(std::is_trivially_copyable_v<RawEvent>);
-
-constexpr std::uint64_t kBusyStamp = ~0ULL;
 
 void copy_bounded(char* dst, std::size_t cap, std::string_view s) {
   const std::size_t n = s.size() < cap ? s.size() : cap;
@@ -72,21 +70,8 @@ Journal& process_journal() {
 
 }  // namespace
 
-// One ring slot: a seqlock stamp plus the event payload as relaxed-atomic
-// words — the exact protocol of trace.cpp's SpanBuffer::Slot (a reader
-// racing a wrap-around writer detects the recycled stamp and skips).
-struct Journal::Slot {
-  // Deliberately NOT ntcs::Atomic: journal_note() fires inside shed and
-  // failover paths under layer locks; the explorer must never park here.
-  // sync: seqlock — stamp acq/rel brackets the relaxed word payload.
-  std::atomic<std::uint64_t> stamp{0};  // 0 empty, kBusyStamp mid-write,
-                                        // else writer's ticket + 1
-  std::atomic<std::uint64_t> words[kEventWords]{};  // sync: seqlock payload
-};
-
 Journal::Journal(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity),
-      slots_(new Slot[capacity == 0 ? 1 : capacity]) {}
+    : ring_(capacity, ntcs::lockrank::kJournal, "health.journal") {}
 
 Journal::~Journal() = default;
 
@@ -100,80 +85,51 @@ Journal& Journal::instance() {
 void Journal::record(EventKind kind, std::string_view layer,
                      std::string_view what, std::uint64_t a, std::uint64_t b,
                      std::uint64_t trace_hi, std::uint64_t trace_lo) {
-  const std::uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
-  RawEvent raw;
-  raw.seq = ticket + 1;  // nonzero so a decoded event is distinguishable
-  raw.ts_ns = trace::now_ns();
-  raw.trace_hi = trace_hi;
-  raw.trace_lo = trace_lo;
-  raw.a = a;
-  raw.b = b;
-  raw.kind = static_cast<std::uint32_t>(kind);
-  copy_bounded(raw.layer, sizeof(raw.layer), layer);
-  copy_bounded(raw.what, sizeof(raw.what), what);
-  std::uint64_t words[kEventWords];
-  std::memcpy(words, &raw, sizeof(raw));
-
-  Slot& slot = slots_[ticket % capacity_];
-  const std::uint64_t prev =
-      slot.stamp.exchange(kBusyStamp, std::memory_order_acq_rel);
-  if (prev != 0 && prev != kBusyStamp) {
+  const bool overwrote = ring_.push([&](std::uint64_t ticket) {
+    RawEvent raw;
+    raw.seq = ticket + 1;  // nonzero so a decoded event is distinguishable
+    raw.ts_ns = trace::now_ns();
+    raw.trace_hi = trace_hi;
+    raw.trace_lo = trace_lo;
+    raw.a = a;
+    raw.b = b;
+    raw.kind = static_cast<std::uint32_t>(kind);
+    copy_bounded(raw.layer, sizeof(raw.layer), layer);
+    copy_bounded(raw.what, sizeof(raw.what), what);
+    SeqlockRing<kEventWords>::Record rec;
+    std::memcpy(rec.data(), &raw, sizeof(raw));
+    return rec;
+  });
+  if (overwrote) {
     // Overwrote an event nobody drained: the ring wrapped.
-    dropped_.fetch_add(1, std::memory_order_relaxed);
     static metrics::Counter& dropped =
         metrics::counter("health.journal_dropped");
     dropped.inc();
   }
-  for (std::size_t i = 0; i < kEventWords; ++i) {
-    slot.words[i].store(words[i], std::memory_order_relaxed);
-  }
-  slot.stamp.store(ticket + 1, std::memory_order_release);
 }
 
 std::vector<JournalEvent> Journal::snapshot() const {
-  ntcs::LockGuard lk(mu_);
-  const std::uint64_t hi = next_.load(std::memory_order_acquire);
-  const std::uint64_t lo = hi > capacity_ ? hi - capacity_ : 0;
-  std::vector<JournalEvent> out;
-  out.reserve(static_cast<std::size_t>(hi - lo));
-  for (std::uint64_t t = lo; t < hi; ++t) {
-    const Slot& slot = slots_[t % capacity_];
-    const std::uint64_t s1 = slot.stamp.load(std::memory_order_acquire);
-    if (s1 == 0 || s1 == kBusyStamp) continue;
-    std::uint64_t words[kEventWords];
-    for (std::size_t i = 0; i < kEventWords; ++i) {
-      words[i] = slot.words[i].load(std::memory_order_relaxed);
-    }
-    // sync: seqlock read fence — orders the word loads before the stamp
-    // re-check.
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.stamp.load(std::memory_order_relaxed) != s1) continue;  // torn
-    RawEvent raw;
-    std::memcpy(&raw, words, sizeof(raw));
-    if (raw.seq == 0) continue;
-    JournalEvent e;
-    e.seq = raw.seq;
-    e.ts_ns = raw.ts_ns;
-    e.trace_hi = raw.trace_hi;
-    e.trace_lo = raw.trace_lo;
-    e.a = raw.a;
-    e.b = raw.b;
-    e.kind = static_cast<EventKind>(raw.kind);
-    e.layer = read_bounded(raw.layer, sizeof(raw.layer));
-    e.what = read_bounded(raw.what, sizeof(raw.what));
-    out.push_back(std::move(e));
-  }
-  return out;
+  return ring_.drain<JournalEvent>(
+      [](const SeqlockRing<kEventWords>::Record& rec)
+          -> std::optional<JournalEvent> {
+        RawEvent raw;
+        std::memcpy(&raw, rec.data(), sizeof(raw));
+        if (raw.seq == 0) return std::nullopt;
+        JournalEvent e;
+        e.seq = raw.seq;
+        e.ts_ns = raw.ts_ns;
+        e.trace_hi = raw.trace_hi;
+        e.trace_lo = raw.trace_lo;
+        e.a = raw.a;
+        e.b = raw.b;
+        e.kind = static_cast<EventKind>(raw.kind);
+        e.layer = read_bounded(raw.layer, sizeof(raw.layer));
+        e.what = read_bounded(raw.what, sizeof(raw.what));
+        return e;
+      });
 }
 
-void Journal::clear() {
-  ntcs::LockGuard lk(mu_);
-  // Tickets keep counting (stamps stay unique across clears); a zero stamp
-  // marks the slot empty so overwriting it is not counted as a drop.
-  for (std::size_t i = 0; i < capacity_; ++i) {
-    slots_[i].stamp.store(0, std::memory_order_release);
-  }
-}
+void Journal::clear() { ring_.clear(); }
 
 void journal_note(EventKind kind, std::string_view layer,
                   std::string_view what, std::uint64_t a, std::uint64_t b) {

@@ -53,6 +53,7 @@
 
 #include "common/annotated.h"
 #include "common/metrics.h"
+#include "common/seqlock_ring.h"
 
 namespace ntcs::health {
 
@@ -85,9 +86,9 @@ struct JournalEvent {
 };
 
 /// The process flight recorder: fixed-capacity, overwrite-oldest,
-/// lock-free writers (same seqlock-slot protocol as trace.cpp's
-/// SpanBuffer; readers detect torn slots and skip them). Instantiable for
-/// tests; production code records through journal_note().
+/// lock-free writers (a SeqlockRing, like trace.h's SpanBuffer; readers
+/// detect torn slots and skip them). Instantiable for tests; production
+/// code records through journal_note().
 class Journal {
  public:
   explicit Journal(std::size_t capacity = 8192);
@@ -104,21 +105,15 @@ class Journal {
   /// Ticket-ordered copy of every live slot (oldest surviving first).
   std::vector<JournalEvent> snapshot() const;
   void clear();
-  std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-  std::size_t capacity() const { return capacity_; }
+  std::uint64_t dropped() const { return ring_.dropped(); }
+  std::size_t capacity() const { return ring_.capacity(); }
+
+  /// One event marshalled into ring words (health.cpp's RawEvent).
+  static constexpr std::size_t kEventWords = 10;
 
  private:
-  struct Slot;
-  std::size_t capacity_;
-  std::unique_ptr<Slot[]> slots_;
-  // sync: ticket allocator + overwrite counter, relaxed — the per-slot
-  // seqlock stamps carry the payload ordering (see Slot in health.cpp).
-  std::atomic<std::uint64_t> next_{0};
-  std::atomic<std::uint64_t> dropped_{0};  // sync: relaxed stat, as above
-  // Drain lock (kJournal): snapshot/clear only; record() never touches it.
-  mutable ntcs::Mutex mu_{ntcs::lockrank::kJournal, "health.journal"};
+  // Drains take health.journal (kJournal).
+  SeqlockRing<kEventWords> ring_;
 };
 
 /// Record into the process journal, correlating with the calling thread's

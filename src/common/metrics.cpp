@@ -1,9 +1,32 @@
 #include "common/metrics.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 
 namespace ntcs::metrics {
+
+MetricsRegistry::MetricsRegistry()
+    : own_mu_(std::in_place, ntcs::lockrank::kMetricsRegistry,
+              "metrics.registry"),
+      mu_(*own_mu_) {}
+
+MetricsRegistry::MetricsRegistry(MetricsRegistry& root)
+    : root_(&root), mu_(root.mu_) {
+  assert(root.root_ == nullptr && "a scope's parent must be a root");
+  ntcs::LockGuard lk(root.mu_);
+  root.scopes_.push_back(this);
+}
+
+MetricsRegistry::~MetricsRegistry() {
+  if (root_ == nullptr) return;
+  ntcs::LockGuard lk(mu_);
+  root_->assert_shares_lock();
+  for (const auto& [name, c] : counters_) {
+    root_->counter_locked(name).inc(c->value());
+  }
+  std::erase(root_->scopes_, this);
+}
 
 MetricsRegistry& MetricsRegistry::instance() {
   // Intentionally leaked: call sites cache Counter&/Histogram& references
@@ -14,8 +37,7 @@ MetricsRegistry& MetricsRegistry::instance() {
   return *reg;
 }
 
-Counter& MetricsRegistry::counter(std::string_view name) {
-  ntcs::LockGuard lk(mu_);
+Counter& MetricsRegistry::counter_locked(std::string_view name) {
   auto it = counters_.find(name);
   if (it == counters_.end()) {
     it = counters_.emplace(std::string(name), std::make_unique<Counter>())
@@ -24,7 +46,13 @@ Counter& MetricsRegistry::counter(std::string_view name) {
   return *it->second;
 }
 
+Counter& MetricsRegistry::counter(std::string_view name) {
+  ntcs::LockGuard lk(mu_);
+  return counter_locked(name);
+}
+
 Histogram& MetricsRegistry::histogram(std::string_view name) {
+  assert(root_ == nullptr && "histograms live on the root");
   ntcs::LockGuard lk(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
@@ -35,6 +63,7 @@ Histogram& MetricsRegistry::histogram(std::string_view name) {
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name) {
+  assert(root_ == nullptr && "gauges live on the root");
   ntcs::LockGuard lk(mu_);
   auto it = gauges_.find(name);
   if (it == gauges_.end()) {
@@ -51,6 +80,12 @@ Snapshot MetricsRegistry::snapshot() const {
     v.kind = MetricKind::counter;
     v.count = c->value();
     s.values.emplace(name, std::move(v));
+  }
+  for (const MetricsRegistry* scope : scopes_) {
+    scope->assert_shares_lock();
+    for (const auto& [name, c] : scope->counters_) {
+      s.values[name].count += c->value();
+    }
   }
   for (const auto& [name, g] : gauges_) {
     MetricValue v;

@@ -1,26 +1,60 @@
-// metrics.h — the process-wide per-layer metrics registry.
+// metrics.h — the per-layer metrics registry: a process root plus one
+// scope per module.
 //
 // The paper's project measured and projected system performance through the
 // DRTS network monitor (§6.1, [Wang 85]), and §6.2 argues that a recursive
-// system is only debuggable when one can observe *which layer* did *what*,
-// with *selectivity*. This registry is that observation surface in counter
-// form: every Nucleus/ComMod layer owns a handful of named counters and
-// latency histograms, addressable as "layer.name" (lcm.sends,
-// nd.open_retries, ip.hops_forwarded, nsp.cache_hits, convert.mode.image,
-// ali.recv_wait_ns, ...), snapshotted locally or — through the DRTS
-// MonitorServer — over the NTCS itself. The simulated substrate reports
-// through the same surface: its fault-injection engine counts simnet.dup,
-// simnet.reordered and simnet.flaps, so a chaos run can correlate injected
-// faults with each layer's recovery work (nd.frames_deduped,
-// ip.extend_transient_retries, lcm.fault_backoffs).
+// system is only debuggable when one can observe *which layer* of *which
+// module* did *what*, with *selectivity*. This registry is that observation
+// surface in counter form: every Nucleus/ComMod layer owns a handful of
+// named counters and latency histograms, addressable as "layer.name"
+// (lcm.sends, nd.open_retries, ip.hops_forwarded, nsp.cache_hits,
+// convert.mode.image, ali.recv_wait_ns, ...), snapshotted locally or —
+// through the DRTS MonitorServer — over the NTCS itself. The simulated
+// substrate reports through the same surface: its fault-injection engine
+// counts simnet.dup, simnet.reordered and simnet.flaps, so a chaos run can
+// correlate injected faults with each layer's recovery work
+// (nd.frames_deduped, ip.extend_transient_retries, lcm.fault_backoffs).
 //
-// Cost model: metrics are created lazily on first touch, so a metric that
-// is never touched costs nothing and never appears in a snapshot. The
-// intended call-site idiom resolves the registry lookup once per site and
-// pays one relaxed atomic add per event thereafter:
+// Scopes. Each Node owns a scope: a child MetricsRegistry of the process
+// root, and the only home of every counter its layers (ND, IP, LCM, NSP,
+// and a Name Server's) bump. A Gateway owns one for its gw.extend* counters
+// and a simnet::Fabric one for its frame counters. A scope's counters are
+// looked up once, when its owner is constructed, so they exist — at 0 —
+// from construction on; tests read per-module numbers from the scope
+// (node.metrics().snapshot()). The root's snapshot() reports, per name, its
+// own value plus every live scope's, and a scope folds its counter values
+// into the root's own when it is destroyed, so process-wide totals include
+// modules already stopped and torn down. One lock, the root's
+// metrics.registry, guards the root's maps and every scope's.
 //
-//   static metrics::Counter& c = metrics::counter("lcm.sends");
-//   c.inc();
+// Two call-site idioms, both paying one relaxed atomic add per event:
+//
+//  - counters of a scoped class: a Counter& member initialised from the
+//    registry its owner was given (default member initialiser or
+//    constructor init list), never a lookup inside a function body:
+//
+//      metrics::Counter& sends_ = metrics_.counter("lcm.sends");
+//
+//  - gauges, histograms, and counters bumped outside the scoped classes
+//    (convert.*, trace.*, health.*, analysis.*, realnet.*,
+//    simnet.inbox_shed): a cached static reference into the root, created
+//    on first touch (so an untouched root metric never appears in a
+//    snapshot). Depth/bound pairs and peaks do not sum across modules,
+//    which is why gauges and histograms stay process-wide:
+//
+//      static metrics::Counter& c = metrics::counter("convert.mode.image");
+//      c.inc();
+//
+// Names added by the scope fold for per-layer statistics that had no
+// process-wide twin: lcm.tadds_promoted; nd.opens_accepted, nd.lvcs_closed,
+// nd.tadds_promoted; ip.ivcs_accepted, ip.ivcs_closed, ip.messages_relayed;
+// gw.extends_handled, gw.extends_failed; ns.registers, ns.lookups,
+// ns.resolves, ns.forwards, ns.forward_hits, ns.liveness_probes,
+// ns.bad_requests, ns.replications_sent, ns.replications_applied,
+// ns.writes_rejected, ns.wrong_shard; simnet.frames_sent,
+// simnet.frames_dropped, simnet.bytes_sent, simnet.connects_ok,
+// simnet.connects_failed, simnet.channels_closed, simnet.frames_corrupted,
+// simnet.flap_dropped.
 #pragma once
 
 #include <algorithm>
@@ -31,6 +65,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -204,38 +239,59 @@ struct Snapshot {
   std::string to_prometheus() const;
 };
 
-/// The registry: name -> metric, created on first touch. Instantiable for
-/// unit tests; production code uses the process-wide instance().
+/// The registry: name -> metric, created on first touch. A root (the
+/// process-wide instance(), or a standalone one in unit tests) holds every
+/// kind of metric; a scope, constructed as a child of a root, holds
+/// counters only.
 class MetricsRegistry {
  public:
-  MetricsRegistry() = default;
+  MetricsRegistry();
+  /// A scope of `root` (which must itself be a root): links itself into
+  /// the root, which must outlive it.
+  explicit MetricsRegistry(MetricsRegistry& root);
+  /// A scope adds its counter values into the root's own counters and
+  /// unlinks, so the root's totals keep what the scope counted.
+  ~MetricsRegistry();
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   static MetricsRegistry& instance();
 
   /// Fetch-or-create. The returned reference is stable for the registry's
-  /// lifetime, so call sites may cache it (the intended idiom).
+  /// lifetime, so call sites cache it (the intended idiom). histogram()
+  /// and gauge() are for roots only.
   Counter& counter(std::string_view name);
   Histogram& histogram(std::string_view name);
   Gauge& gauge(std::string_view name);
 
+  /// A root reports its own metrics with every live scope's counters added
+  /// in, name by name; a scope reports its own counters.
   Snapshot snapshot() const;
 
  private:
+  Counter& counter_locked(std::string_view name) REQUIRES(mu_);
+  /// A scope's maps are guarded by its root's lock, which is the lock
+  /// `mu_` names in both; this tells the analysis so.
+  void assert_shares_lock() const ASSERT_CAPABILITY(mu_) {}
+
+  // A root's lock; empty in a scope.
+  std::optional<ntcs::Mutex> own_mu_;
+  MetricsRegistry* const root_ = nullptr;  // null: this is a root
   // Leaf rank: instrumentation sites touch the registry from under any
-  // layer lock (first-touch metric creation), so nothing may be acquired
-  // beneath it. The returned Counter/Histogram references are lock-free.
-  mutable ntcs::Mutex mu_{ntcs::lockrank::kMetricsRegistry, "metrics.registry"};
+  // layer lock (first-touch metric creation, scope construction), so
+  // nothing may be acquired beneath it. The returned Counter/Histogram
+  // references are lock-free.
+  ntcs::Mutex& mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_
       GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
       GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_
       GUARDED_BY(mu_);
+  std::vector<const MetricsRegistry*> scopes_ GUARDED_BY(mu_);
 };
 
-/// Process-wide shorthands for instrumentation sites.
+/// Process-wide shorthands for root instrumentation sites.
 inline Counter& counter(std::string_view name) {
   return MetricsRegistry::instance().counter(name);
 }

@@ -116,12 +116,10 @@ struct RawSpan {
   char node[20];
 };
 
-constexpr std::size_t kSlotWords = sizeof(RawSpan) / sizeof(std::uint64_t);
-static_assert(sizeof(RawSpan) == 104, "no interior padding expected");
-static_assert(sizeof(RawSpan) % sizeof(std::uint64_t) == 0);
+static_assert(sizeof(RawSpan) ==
+                  SpanBuffer::kSpanWords * sizeof(std::uint64_t),
+              "no interior padding expected");
 static_assert(std::is_trivially_copyable_v<RawSpan>);
-
-constexpr std::uint64_t kBusyStamp = ~0ULL;
 
 void copy_bounded(char* dst, std::size_t cap, std::string_view s) {
   const std::size_t n = s.size() < cap ? s.size() : cap;
@@ -137,22 +135,8 @@ std::string read_bounded(const char* src, std::size_t cap) {
 
 }  // namespace
 
-// One ring slot: a seqlock stamp plus the span payload as relaxed-atomic
-// words, so a reader racing a wrap-around writer sees no data race (it
-// detects the recycled stamp and skips the slot instead).
-struct SpanBuffer::Slot {
-  // Deliberately NOT ntcs::Atomic: the explorer must never park inside
-  // the trace fast path, and the seqlock protocol is validated by its own
-  // torn-read retry, not by happens-before edges.
-  // sync: seqlock — stamp acq/rel brackets the relaxed word payload.
-  std::atomic<std::uint64_t> stamp{0};  // 0 empty, kBusyStamp mid-write,
-                                        // else writer's ticket + 1
-  std::atomic<std::uint64_t> words[kSlotWords]{};  // sync: seqlock payload
-};
-
 SpanBuffer::SpanBuffer(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity),
-      slots_(new Slot[capacity == 0 ? 1 : capacity]) {}
+    : ring_(capacity, ntcs::lockrank::kTraceBuffer, "trace.buffer") {}
 
 SpanBuffer::~SpanBuffer() = default;
 
@@ -179,60 +163,37 @@ void SpanBuffer::record(const TraceContext& ctx, std::uint64_t span_id,
   copy_bounded(raw.layer, sizeof(raw.layer), layer);
   copy_bounded(raw.op, sizeof(raw.op), op);
   copy_bounded(raw.node, sizeof(raw.node), node);
-  std::uint64_t words[kSlotWords];
-  std::memcpy(words, &raw, sizeof(raw));
-
-  const std::uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[ticket % capacity_];
-  const std::uint64_t prev =
-      slot.stamp.exchange(kBusyStamp, std::memory_order_acq_rel);
-  if (prev != 0 && prev != kBusyStamp) {
+  const bool overwrote = ring_.push([&](std::uint64_t) {
+    SeqlockRing<kSpanWords>::Record rec;
+    std::memcpy(rec.data(), &raw, sizeof(raw));
+    return rec;
+  });
+  if (overwrote) {
     // Overwrote a span nobody drained: the ring wrapped.
-    dropped_.fetch_add(1, std::memory_order_relaxed);
     static metrics::Counter& dropped = metrics::counter("trace.spans_dropped");
     dropped.inc();
   }
-  for (std::size_t i = 0; i < kSlotWords; ++i) {
-    slot.words[i].store(words[i], std::memory_order_relaxed);
-  }
-  slot.stamp.store(ticket + 1, std::memory_order_release);
 }
 
 std::vector<Span> SpanBuffer::snapshot() const {
-  ntcs::LockGuard lk(mu_);
-  const std::uint64_t hi = next_.load(std::memory_order_acquire);
-  const std::uint64_t lo = hi > capacity_ ? hi - capacity_ : 0;
-  std::vector<Span> out;
-  out.reserve(static_cast<std::size_t>(hi - lo));
-  for (std::uint64_t t = lo; t < hi; ++t) {
-    const Slot& slot = slots_[t % capacity_];
-    const std::uint64_t s1 = slot.stamp.load(std::memory_order_acquire);
-    if (s1 == 0 || s1 == kBusyStamp) continue;
-    std::uint64_t words[kSlotWords];
-    for (std::size_t i = 0; i < kSlotWords; ++i) {
-      words[i] = slot.words[i].load(std::memory_order_relaxed);
-    }
-    // sync: seqlock read fence — orders the word loads before the stamp
-    // re-check.
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.stamp.load(std::memory_order_relaxed) != s1) continue;  // torn
-    RawSpan raw;
-    std::memcpy(&raw, words, sizeof(raw));
-    if (raw.span_id == 0) continue;
-    Span s;
-    s.trace_hi = raw.trace_hi;
-    s.trace_lo = raw.trace_lo;
-    s.span_id = raw.span_id;
-    s.parent_id = raw.parent_id;
-    s.start_ns = raw.start_ns;
-    s.end_ns = raw.end_ns;
-    s.flags = raw.flags;
-    s.layer = read_bounded(raw.layer, sizeof(raw.layer));
-    s.op = read_bounded(raw.op, sizeof(raw.op));
-    s.node = read_bounded(raw.node, sizeof(raw.node));
-    out.push_back(std::move(s));
-  }
-  return out;
+  return ring_.drain<Span>(
+      [](const SeqlockRing<kSpanWords>::Record& rec) -> std::optional<Span> {
+        RawSpan raw;
+        std::memcpy(&raw, rec.data(), sizeof(raw));
+        if (raw.span_id == 0) return std::nullopt;
+        Span s;
+        s.trace_hi = raw.trace_hi;
+        s.trace_lo = raw.trace_lo;
+        s.span_id = raw.span_id;
+        s.parent_id = raw.parent_id;
+        s.start_ns = raw.start_ns;
+        s.end_ns = raw.end_ns;
+        s.flags = raw.flags;
+        s.layer = read_bounded(raw.layer, sizeof(raw.layer));
+        s.op = read_bounded(raw.op, sizeof(raw.op));
+        s.node = read_bounded(raw.node, sizeof(raw.node));
+        return s;
+      });
 }
 
 std::vector<Span> SpanBuffer::for_trace(std::uint64_t hi,
@@ -252,14 +213,7 @@ std::vector<Span> SpanBuffer::since(std::int64_t ns) const {
   return out;
 }
 
-void SpanBuffer::clear() {
-  ntcs::LockGuard lk(mu_);
-  // Tickets keep counting (stamps stay unique across clears); a zero stamp
-  // marks the slot empty so overwriting it is not counted as a drop.
-  for (std::size_t i = 0; i < capacity_; ++i) {
-    slots_[i].stamp.store(0, std::memory_order_release);
-  }
-}
+void SpanBuffer::clear() { ring_.clear(); }
 
 // ---- instrumentation-site helpers ----------------------------------------
 

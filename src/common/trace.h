@@ -31,13 +31,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/annotated.h"
 #include "common/atomic.h"
+#include "common/seqlock_ring.h"
 
 namespace ntcs::trace {
 
@@ -126,13 +126,11 @@ struct Span {
   std::string node;            ///< module identity name that recorded it
 };
 
-/// Fixed-capacity overwrite-oldest span ring. Writers are lock-free: a
-/// fetch_add ticket picks the slot and a per-slot seqlock stamp (0 = empty,
-/// kBusy = being written, else ticket+1) lets readers detect torn or
-/// recycled slots. Slot payloads are relaxed-atomic words so concurrent
-/// writer/reader access is data-race-free under TSan; a reader that loses
-/// the race simply skips the slot. Instantiable for unit tests; production
-/// sites reach the process-wide buffer through the free helpers below.
+/// Fixed-capacity overwrite-oldest span ring: a SeqlockRing (lock-free
+/// writers; a reader that loses the race to a wrap-around writer skips
+/// the slot) holding each span as kSpanWords words. Instantiable for unit
+/// tests; production sites reach the process-wide buffer through the free
+/// helpers below.
 class SpanBuffer {
  public:
   static constexpr std::size_t kDefaultCapacity = 64 * 1024;
@@ -163,26 +161,16 @@ class SpanBuffer {
 
   /// Spans lost to ring wrap since construction (also mirrored into the
   /// process-wide `trace.spans_dropped` counter).
-  std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t dropped() const { return ring_.dropped(); }
 
-  std::size_t capacity() const { return capacity_; }
+  std::size_t capacity() const { return ring_.capacity(); }
+
+  /// One span marshalled into ring words (trace.cpp's RawSpan).
+  static constexpr std::size_t kSpanWords = 13;
 
  private:
-  struct Slot;
-
-  std::size_t capacity_;
-  std::unique_ptr<Slot[]> slots_;
-  // sync: next_ is the seqlock ticket allocator (relaxed fetch_add to
-  // claim, acquire load in snapshot to bound the scan); dropped_ is a
-  // relaxed stat. Raw on purpose — the explorer must not park in the
-  // span fast path.
-  std::atomic<std::uint64_t> next_{0};     // sync: ticket allocator
-  std::atomic<std::uint64_t> dropped_{0};  // sync: relaxed stat
-  // Serialises drains only — record() never touches it (leaf rank; see
-  // annotated.h).
-  mutable ntcs::Mutex mu_{ntcs::lockrank::kTraceBuffer, "trace.buffer"};
+  // Drains take trace.buffer (a leaf rank; see annotated.h).
+  SeqlockRing<kSpanWords> ring_;
 };
 
 // ---- instrumentation-site helpers ----------------------------------------

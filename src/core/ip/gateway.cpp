@@ -19,7 +19,7 @@ Gateway::Gateway(std::string name, std::vector<Attachment> attachments,
       attachments_(std::move(attachments)),
       prime_uadd_(prime_uadd),
       jobs_(kExtendBacklog) {
-  if (prime_uadd_) uadd_ = *prime_uadd_;
+  if (prime_uadd_) uadd_.store(prime_uadd_->raw());
   // Health-plane pair: EXTEND backlog depth against its bound. All
   // gateways in a process share one aggregate depth gauge (delta-based),
   // which cannot overstate utilization against the per-queue bound.
@@ -89,10 +89,7 @@ ntcs::Status Gateway::register_with_ns(const WellKnownTable& wk) {
   }
   auto uadd = via->nsp().register_module(info);
   if (!uadd) return uadd.error();
-  {
-    ntcs::LockGuard lk(mu_);
-    uadd_ = uadd.value();
-  }
+  uadd_.store(uadd.value().raw());
   // All attachments share the gateway's single identity.
   for (auto& node : nodes_) node->identity().set_uadd(uadd.value());
   return ntcs::Status::success();
@@ -111,10 +108,7 @@ void Gateway::stop() {
 
 GatewayRecord Gateway::record() const {
   GatewayRecord g;
-  {
-    ntcs::LockGuard lk(mu_);
-    g.uadd = uadd_;
-  }
+  g.uadd = uadd();
   g.name = name_;
   for (const auto& node : nodes_) {
     g.nets.push_back(node->config().net);
@@ -134,8 +128,7 @@ PrimeGatewayInfo Gateway::prime_info() const {
 }
 
 UAdd Gateway::uadd() const {
-  ntcs::LockGuard lk(mu_);
-  return uadd_;
+  return UAdd::from_raw(uadd_.load());
 }
 
 void Gateway::on_extend(IpLayer* in, LvcId in_lvc, std::uint64_t ivc,
@@ -150,8 +143,7 @@ void Gateway::on_extend(IpLayer* in, LvcId in_lvc, std::uint64_t ivc,
     // Backlog full: refuse the establishment instead of buffering without
     // bound. The originator sees a retriable overloaded extend-failure.
     // fail() only sends one frame on the inbound LVC — pump-safe.
-    static metrics::Counter& m_shed = metrics::counter("gw.extend_shed");
-    m_shed.inc();
+    extend_shed_.inc();
     health::journal_note(health::EventKind::shed, "gw", "extend_shed",
                          kExtendBacklog);
     ExtendJob shed;  // fail() only reads the reply coordinates
@@ -183,20 +175,14 @@ void Gateway::worker_main(const std::stop_token& st) {
 
 void Gateway::fail(const ExtendJob& job, ntcs::Errc code,
                    const std::string& text) {
-  {
-    ntcs::LockGuard lk(mu_);
-    ++stats_.extends_failed;
-  }
+  extends_failed_.inc();
   (void)job.in->nd().send(
       job.in_lvc, wire::encode_ip_extend_fail(
                       job.ivc, static_cast<std::uint32_t>(code), text));
 }
 
 void Gateway::process(const ExtendJob& job) {
-  {
-    ntcs::LockGuard lk(mu_);
-    ++stats_.extends_handled;
-  }
+  extends_handled_.inc();
   if (job.body.route.empty()) {
     fail(job, ntcs::Errc::bad_message, "EXTEND with empty route at gateway");
     return;
@@ -249,11 +235,6 @@ void Gateway::process(const ExtendJob& job) {
   job.in->add_relay(in_h, &out_node->ip(), out_h);
   out_node->ip().add_relay(out_h, job.in, in_h);
   (void)job.in->nd().send(job.in_lvc, wire::encode_ip_extend_ok(job.ivc));
-}
-
-Gateway::Stats Gateway::stats() const {
-  ntcs::LockGuard lk(mu_);
-  return stats_;
 }
 
 }  // namespace ntcs::core

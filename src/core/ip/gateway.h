@@ -21,12 +21,13 @@
 // before — or without — the Name Server.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
 
-#include "common/annotated.h"
+#include "common/metrics.h"
 #include "common/queue.h"
 #include "core/node.h"
 
@@ -69,16 +70,13 @@ class Gateway : public GatewayHook {
   const std::string& name() const { return name_; }
   std::size_t attachment_count() const { return nodes_.size(); }
   Node& attachment(std::size_t i) { return *nodes_.at(i); }
+  /// The gateway's own counters (gw.extends_*, gw.extend_shed); each
+  /// attachment node counts its relaying in its own scope.
+  metrics::MetricsRegistry& metrics() { return metrics_; }
 
   // GatewayHook — called on an attachment's pump thread; must not block.
   void on_extend(IpLayer* in, LvcId in_lvc, std::uint64_t ivc,
                  wire::ExtendBody body) override;
-
-  struct Stats {
-    std::uint64_t extends_handled = 0;
-    std::uint64_t extends_failed = 0;
-  };
-  Stats stats() const;
 
  private:
   struct ExtendJob {
@@ -95,17 +93,22 @@ class Gateway : public GatewayHook {
   std::string name_;
   std::vector<Attachment> attachments_;
   std::optional<UAdd> prime_uadd_;
+  // Declared before the attachment nodes and the worker, whose threads
+  // bump it.
+  metrics::MetricsRegistry metrics_{metrics::MetricsRegistry::instance()};
+  metrics::Counter& extends_handled_ = metrics_.counter("gw.extends_handled");
+  metrics::Counter& extends_failed_ = metrics_.counter("gw.extends_failed");
+  metrics::Counter& extend_shed_ = metrics_.counter("gw.extend_shed");
   std::vector<std::unique_ptr<Node>> nodes_;
   // bound: kExtendBacklog (gateway.cpp) — an overflowing EXTEND is failed
   // back to its originator with overloaded, never silently queued forever.
   ntcs::BlockingQueue<ExtendJob> jobs_;
   std::jthread worker_;
-  // gateway.state: leaf-scoped (uadd/stats snapshots only), but ranked
-  // near the top because it sits beside the DRTS module locks.
-  mutable ntcs::Mutex mu_{ntcs::lockrank::kGatewayState, "gateway.state"};
-  UAdd uadd_ GUARDED_BY(mu_);
-  Stats stats_ GUARDED_BY(mu_);
-  bool running_ GUARDED_BY(mu_) = false;
+  // sync: the gateway's UAdd as a raw word, stored by the constructor and
+  // register_with_ns, read by uadd()/record() on any thread; a whole value
+  // that publishes no other memory.
+  std::atomic<std::uint64_t> uadd_{0};
+  bool running_ = false;  // start()/stop() caller only
 };
 
 }  // namespace ntcs::core

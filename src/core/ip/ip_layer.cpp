@@ -10,13 +10,15 @@
 namespace ntcs::core {
 
 IpLayer::IpLayer(NdLayer& nd, std::shared_ptr<Identity> identity,
-                 NetName local_net, IpConfig cfg)
+                 metrics::MetricsRegistry& metrics, NetName local_net,
+                 IpConfig cfg)
     : nd_(nd),
       identity_(std::move(identity)),
       local_net_(std::move(local_net)),
       cfg_(cfg),
       log_("ip", identity_->name()),
-      rng_(ntcs::seed_from(identity_->name(), 0x49504C59ULL /* "IPLY" */)) {
+      rng_(ntcs::seed_from(identity_->name(), 0x49504C59ULL /* "IPLY" */)),
+      metrics_(metrics) {
   relay_fair_rate_.store(cfg_.relay_fair_rate, std::memory_order_relaxed);
 }
 
@@ -109,10 +111,8 @@ ntcs::Result<std::vector<GatewayRecord>> IpLayer::topology(bool static_only) {
         }
         if (!replaced) merged.push_back(std::move(g));
       }
-      static metrics::Counter& m_topo = metrics::counter("ip.topology_fetches");
-      m_topo.inc();
+      topology_fetches_.inc();
       ntcs::LockGuard lk(mu_);
-      ++stats_.topology_fetches;
       topo_cache_ = merged;
       return merged;
     }
@@ -209,8 +209,6 @@ ntcs::Result<std::vector<wire::RouteHop>> IpLayer::compute_route(
 
 ntcs::Result<IvcHandle> IpLayer::open_ivc(const ResolvedDest& dst) {
   static metrics::Histogram& m_open_ns = metrics::histogram("ip.open_ivc_ns");
-  static metrics::Counter& m_transient =
-      metrics::counter("ip.extend_transient_retries");
   metrics::ScopedTimer open_timer(m_open_ns);
   trace::ScopedSpan open_span("ip", "open_ivc", identity_->name());
   // Transient failures (a flapping or congested link) retry the same route
@@ -242,7 +240,7 @@ ntcs::Result<IvcHandle> IpLayer::open_ivc(const ResolvedDest& dst) {
       if (code == ntcs::Errc::timeout || code == ntcs::Errc::partitioned) {
         // The hop is reachable in principle — the link is misbehaving.
         // Blacklisting it would punish a healthy gateway for its wire.
-        m_transient.inc();
+        extend_transient_retries_.inc();
         continue;
       }
       // A dead first-hop *gateway* is routed around: blacklist the
@@ -286,10 +284,8 @@ ntcs::Result<IvcHandle> IpLayer::open_ivc(const ResolvedDest& dst) {
         ntcs::LockGuard lk(mu_);
         auto it = ivcs_.find(h);
         if (it != ivcs_.end()) it->second.established = true;
-        ++stats_.ivcs_opened;
       }
-      static metrics::Counter& m_opened = metrics::counter("ip.ivcs_opened");
-      m_opened.inc();
+      ivcs_opened_.inc();
       log_.debug("IVC open to " + dst.uadd.to_string() + " via " +
                  std::to_string(hops.size()) + " onward hop(s)");
       return h;
@@ -297,10 +293,8 @@ ntcs::Result<IvcHandle> IpLayer::open_ivc(const ResolvedDest& dst) {
     {
       ntcs::LockGuard lk(mu_);
       ivcs_.erase(h);
-      ++stats_.extend_failures;
     }
-    static metrics::Counter& m_efail = metrics::counter("ip.extend_failures");
-    m_efail.inc();
+    extend_failures_.inc();
     // Do not leave a useless LVC behind if this node opened it just now
     // and nothing else multiplexes on it yet.
     bool lvc_in_use = false;
@@ -326,7 +320,7 @@ ntcs::Result<IvcHandle> IpLayer::open_ivc(const ResolvedDest& dst) {
         outcome.code() == ntcs::Errc::address_fault) {
       // The extend died en route (flap mid-handshake, circuit killed):
       // transient — the same route may well work on the next try.
-      m_transient.inc();
+      extend_transient_retries_.inc();
       continue;
     }
     return outcome.error();
@@ -373,8 +367,8 @@ ntcs::Status IpLayer::close_ivc(IvcHandle h) {
     if (ivcs_.erase(h) == 0) {
       return ntcs::Status(ntcs::Errc::not_found, "no such IVC");
     }
-    ++stats_.ivcs_closed;
   }
+  ivcs_closed_.inc();
   (void)nd_.send(h.lvc, wire::encode_ip_teardown(h.ivc));
   return ntcs::Status::success();
 }
@@ -443,7 +437,7 @@ void IpLayer::on_lvc_closed(LvcId lvc, const IpEventSink& up) {
         e.kind = IpEvent::Kind::ivc_closed;
         e.via = it->first;
         events.push_back(std::move(e));
-        ++stats_.ivcs_closed;
+        ivcs_closed_.inc();
         it = ivcs_.erase(it);
       } else {
         ++it;
@@ -475,9 +469,7 @@ void IpLayer::on_lvc_closed(LvcId lvc, const IpEventSink& up) {
     // Instruct the far side to close the associated IVC; its own teardown
     // cascades onward (§4.3). Frames in flight on the dead circuit are
     // gone — make the teardown (and thus the loss) observable.
-    static metrics::Counter& m_teardowns =
-        metrics::counter("ip.relay_teardowns");
-    m_teardowns.inc();
+    relay_teardowns_.inc();
     (void)target.out->nd().send(target.out_h.lvc,
                                 wire::encode_ip_teardown(target.out_h.ivc));
     target.out->remove_relay_entry(target.out_h);
@@ -500,12 +492,12 @@ void IpLayer::on_envelope(const NdEvent& ev, const wire::IpView& env,
         if (rit != relays_.end()) {
           relay = rit->second;
           is_relay = true;
-          ++stats_.messages_relayed;
         } else if (ivcs_.count(h) != 0) {
           is_local = true;
         }
       }
       if (is_relay) {
+        messages_relayed_.inc();
         // A relayed message's context is only on the wire: peek the LCM
         // trace words so gateway decisions land on the request's trace.
         std::optional<wire::LcmTraceWords> tw;
@@ -525,9 +517,7 @@ void IpLayer::on_envelope(const NdEvent& ev, const wire::IpView& env,
                                std::chrono::steady_clock::now()
                                    .time_since_epoch())
                                .count())) {
-            static metrics::Counter& m_fair =
-                metrics::counter("gw.fairness_drops");
-            m_fair.inc();
+            fairness_drops_.inc();
             if (tw) {
               trace::record_event(
                   trace::TraceContext{tw->hi, tw->lo, tw->parent}, "gw",
@@ -539,9 +529,7 @@ void IpLayer::on_envelope(const NdEvent& ev, const wire::IpView& env,
         // The fast path through a Gateway: forward on the chained LVC. Each
         // traversed gateway bumps the hop counter once per data message, so
         // an N-hop send adds N to ip.hops_forwarded process-wide.
-        static metrics::Counter& m_hops =
-            metrics::counter("ip.hops_forwarded");
-        m_hops.inc();
+        hops_forwarded_.inc();
         const std::int64_t relay_start = tw ? trace::now_ns() : 0;
         // The LCM message is forwarded as a view of the received buffer
         // behind a re-encoded IP prologue — no copy at the gateway.
@@ -552,9 +540,7 @@ void IpLayer::on_envelope(const NdEvent& ev, const wire::IpView& env,
           // The onward LVC refused the frame (dying circuit, backend
           // overload): the message is lost here. Never silently — count
           // it and pin the loss on the sender's trace.
-          static metrics::Counter& m_relay_drops =
-              metrics::counter("ip.relay_drops");
-          m_relay_drops.inc();
+          relay_drops_.inc();
           if (tw) {
             trace::record_event(
                 trace::TraceContext{tw->hi, tw->lo, tw->parent}, "ip",
@@ -575,8 +561,7 @@ void IpLayer::on_envelope(const NdEvent& ev, const wire::IpView& env,
       }
       // Data for an IVC this node no longer knows (raced teardown, stale
       // chain): dropped, visibly.
-      static metrics::Counter& m_stray = metrics::counter("ip.stray_drops");
-      m_stray.inc();
+      stray_drops_.inc();
       log_.debug("stray data for unknown IVC " + std::to_string(env.ivc));
       return;
     }
@@ -593,8 +578,8 @@ void IpLayer::on_envelope(const NdEvent& ev, const wire::IpView& env,
         {
           ntcs::LockGuard lk(mu_);
           ivcs_[h] = IvcState{IvcRole::terminal, true};
-          ++stats_.ivcs_accepted;
         }
+        ivcs_accepted_.inc();
         (void)nd_.send(lvc, wire::encode_ip_extend_ok(env.ivc));
         return;
       }
@@ -653,7 +638,7 @@ void IpLayer::on_envelope(const NdEvent& ev, const wire::IpView& env,
           relays_.erase(rit);
         } else if (ivcs_.erase(h) != 0) {
           was_local = true;
-          ++stats_.ivcs_closed;
+          ivcs_closed_.inc();
         }
       }
       if (is_relay) {
@@ -669,14 +654,8 @@ void IpLayer::on_envelope(const NdEvent& ev, const wire::IpView& env,
 }
 
 void IpLayer::drop_undecodable(const ntcs::Error& e) {
-  static metrics::Counter& m_decode_drops = metrics::counter("ip.decode_drops");
-  m_decode_drops.inc();
+  decode_drops_.inc();
   log_.warn("dropping undecodable IP envelope: " + e.to_string());
-}
-
-IpLayer::Stats IpLayer::stats() const {
-  ntcs::LockGuard lk(mu_);
-  return stats_;
 }
 
 }  // namespace ntcs::core

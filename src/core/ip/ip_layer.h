@@ -28,6 +28,7 @@
 #include "common/bytes.h"
 #include "common/error.h"
 #include "common/log.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "core/nd/nd_layer.h"
 #include "core/wire/frames.h"
@@ -118,7 +119,9 @@ struct IpConfig {
 
 class IpLayer {
  public:
-  IpLayer(NdLayer& nd, std::shared_ptr<Identity> identity, NetName local_net,
+  /// Counters go to `metrics`, the owning module's scope.
+  IpLayer(NdLayer& nd, std::shared_ptr<Identity> identity,
+          metrics::MetricsRegistry& metrics, NetName local_net,
           IpConfig cfg = {});
 
   IpLayer(const IpLayer&) = delete;
@@ -209,15 +212,13 @@ class IpLayer {
     relay_fair_rate_.store(per_circuit_fps, std::memory_order_relaxed);
   }
 
+  /// The one read perfbench's relocation workload waits on
+  /// (perfbench/workloads.cpp); everything else reads ip.ivcs_closed from
+  /// the module's metrics scope.
   struct Stats {
-    std::uint64_t ivcs_opened = 0;
-    std::uint64_t ivcs_accepted = 0;
     std::uint64_t ivcs_closed = 0;
-    std::uint64_t messages_relayed = 0;
-    std::uint64_t topology_fetches = 0;
-    std::uint64_t extend_failures = 0;
   };
-  Stats stats() const;
+  Stats stats() const { return Stats{ivcs_closed_.value()}; }
 
  private:
   enum class IvcRole : std::uint8_t { originator, terminal };
@@ -263,7 +264,25 @@ class IpLayer {
   // sync: config word read on the relay fast path without mu_; a stale
   // rate meters one frame under the old policy.
   std::atomic<std::uint64_t> relay_fair_rate_{0};
-  Stats stats_ GUARDED_BY(mu_);
+  metrics::MetricsRegistry& metrics_;
+  metrics::Counter& ivcs_opened_ = metrics_.counter("ip.ivcs_opened");
+  metrics::Counter& ivcs_accepted_ = metrics_.counter("ip.ivcs_accepted");
+  metrics::Counter& ivcs_closed_ = metrics_.counter("ip.ivcs_closed");
+  metrics::Counter& extend_failures_ = metrics_.counter("ip.extend_failures");
+  metrics::Counter& extend_transient_retries_ =
+      metrics_.counter("ip.extend_transient_retries");
+  metrics::Counter& topology_fetches_ =
+      metrics_.counter("ip.topology_fetches");
+  // Relay entries found for inbound data (before fairness metering).
+  metrics::Counter& messages_relayed_ =
+      metrics_.counter("ip.messages_relayed");
+  // Relayed data forwarded onward: an N-hop send adds N process-wide.
+  metrics::Counter& hops_forwarded_ = metrics_.counter("ip.hops_forwarded");
+  metrics::Counter& fairness_drops_ = metrics_.counter("gw.fairness_drops");
+  metrics::Counter& relay_drops_ = metrics_.counter("ip.relay_drops");
+  metrics::Counter& relay_teardowns_ = metrics_.counter("ip.relay_teardowns");
+  metrics::Counter& stray_drops_ = metrics_.counter("ip.stray_drops");
+  metrics::Counter& decode_drops_ = metrics_.counter("ip.decode_drops");
 };
 
 }  // namespace ntcs::core

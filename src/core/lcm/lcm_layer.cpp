@@ -167,21 +167,6 @@ metrics::Histogram& pipeline_depth_hist() {
   return h;
 }
 
-/// Counters of *monitored* (application) traffic. NTCS/DRTS-internal sends
-/// — NSP queries, monitor samples, time-service exchanges — are excluded,
-/// the same exemption §6.1 applies to the monitor hook itself: metrics
-/// about monitored sends must not be moved by the machinery that observes
-/// them, or observing the system changes the numbers it reports.
-/// Internal traffic is counted separately under lcm.internal_sends.
-void count_app_send(metrics::Counter& app, bool internal) {
-  if (internal) {
-    static metrics::Counter& c = metrics::counter("lcm.internal_sends");
-    c.inc();
-  } else {
-    app.inc();
-  }
-}
-
 /// Per-thread NTCS recursion depth (§6.1/§6.3). The paper's layers recurse
 /// on one stack; so do ours — hooks and resolver calls run on the sending
 /// thread, and this counter bounds the dead-circuit loop.
@@ -198,12 +183,13 @@ class RecursionScope {
 }  // namespace
 
 LcmLayer::LcmLayer(IpLayer& ip, std::shared_ptr<Identity> identity,
-                   LcmConfig cfg)
+                   metrics::MetricsRegistry& metrics, LcmConfig cfg)
     : ip_(ip),
       identity_(std::move(identity)),
       cfg_(cfg),
       log_("lcm", identity_->name()),
       rng_(ntcs::seed_from(identity_->name(), 0x4C434D4CULL /* "LCML" */)),
+      metrics_(metrics),
       app_queue_(cfg_.max_inbound_queue, cfg_.control_reserve) {
   // Health-plane pair: live inbound depth against the configured bound
   // (data class sheds at bound - control_reserve, i.e. just above the
@@ -304,22 +290,17 @@ LcmLayer::Route LcmLayer::route_locked(UAdd dst) {
 }
 
 ntcs::Result<ResolvedDest> LcmLayer::resolved_for(UAdd dst) {
-  // UAdd -> destination memoization. (The name -> UAdd lease cache, with
-  // its nsp.cache_* counters, lives in the NSP layer; these count the
-  // LCM's own resolved-destination reuse.)
-  static metrics::Counter& m_hits = metrics::counter("lcm.resolve_hits");
-  static metrics::Counter& m_misses = metrics::counter("lcm.resolve_misses");
   Resolver* resolver = nullptr;
   {
     ntcs::LockGuard lk(mu_);
     auto it = resolved_cache_.find(dst);
     if (it != resolved_cache_.end()) {
-      m_hits.inc();
+      resolve_hits_.inc();
       return it->second;
     }
     resolver = resolver_;
   }
-  m_misses.inc();
+  resolve_misses_.inc();
   if (resolver == nullptr) {
     return ntcs::Error(ntcs::Errc::not_found,
                        "no resolver and " + dst.to_string() +
@@ -363,9 +344,7 @@ ntcs::Result<IvcHandle> LcmLayer::send_message(UAdd dst, wire::LcmKind kind,
                                                PendingRequest* stamp,
                                                const Route* first) {
   if (g_recursion_depth > cfg_.max_recursion_depth) {
-    static metrics::Counter& m_trips = metrics::counter("lcm.recursion_trips");
-    m_trips.inc();
-    recursion_trips_.fetch_add(1, std::memory_order_relaxed);
+    recursion_trips_.inc();
     ErrorHook hook;
     {
       ntcs::LockGuard lk(mu_);
@@ -388,9 +367,7 @@ ntcs::Result<IvcHandle> LcmLayer::send_message(UAdd dst, wire::LcmKind kind,
       // Pace the §3.5 recovery loop: the destination may be mid-move or
       // behind a flapping link, and an instant reconnect mostly re-runs
       // into the same fault.
-      static metrics::Counter& m_backoffs =
-          metrics::counter("lcm.fault_backoffs");
-      m_backoffs.inc();
+      fault_backoffs_.inc();
       health::journal_note(health::EventKind::retry, "lcm", "fault_retry",
                            static_cast<std::uint64_t>(attempt));
       if (trace::enabled()) {
@@ -451,10 +428,7 @@ ntcs::Result<IvcHandle> LcmLayer::send_message(UAdd dst, wire::LcmKind kind,
             if (reconnect_pending_.erase(cur) > 0) reconnected = true;
           }
           if (reconnected) {
-            static metrics::Counter& m_reconnects =
-                metrics::counter("lcm.reconnects");
-            m_reconnects.inc();
-            reconnects_.fetch_add(1, std::memory_order_relaxed);
+            reconnects_.inc();
           }
         }
       }
@@ -499,10 +473,8 @@ ntcs::Result<IvcHandle> LcmLayer::send_message(UAdd dst, wire::LcmKind kind,
     }
 
     // ---- address-fault handler (§3.5) --------------------------------
-    static metrics::Counter& m_faults = metrics::counter("lcm.address_faults");
-    m_faults.inc();
+    address_faults_.inc();
     health::journal_note(health::EventKind::failover, "lcm", "addr_fault");
-    address_faults_.fetch_add(1, std::memory_order_relaxed);
     ErrorHook error_hook;
     {
       ntcs::LockGuard lk(mu_);
@@ -561,9 +533,7 @@ ntcs::Result<IvcHandle> LcmLayer::send_message(UAdd dst, wire::LcmKind kind,
     if (resolver == nullptr) return last;
     auto fwd = resolver->forward(cur);  // recursive naming-service call
     if (fwd) {
-      static metrics::Counter& m_reloc = metrics::counter("lcm.relocations");
-      m_reloc.inc();
-      relocations_.fetch_add(1, std::memory_order_relaxed);
+      relocations_.inc();
       ntcs::LockGuard lk(mu_);
       forwards_[cur] = fwd.value();
       log_.info("relocated " + cur.to_string() + " -> " +
@@ -593,9 +563,7 @@ ntcs::Status LcmLayer::send_body(UAdd dst, const Body& body,
   if (!dst.valid()) {
     return ntcs::Status(ntcs::Errc::bad_argument, "invalid destination");
   }
-  static metrics::Counter& m_sends = metrics::counter("lcm.sends");
-  count_app_send(m_sends, opts.internal);
-  sends_.fetch_add(1, std::memory_order_relaxed);
+  (opts.internal ? internal_sends_ : sends_).inc();
   TimeSource time_source;
   MonitorHook monitor;
   if (!opts.internal) {
@@ -637,10 +605,6 @@ std::shared_ptr<LcmSendWindow> LcmLayer::window_locked(UAdd dst) {
 }
 
 ntcs::Status LcmLayer::acquire_window(PendingRequest& req, bool& parked) {
-  static metrics::Counter& m_stalls = metrics::counter("lcm.window_stalls");
-  static metrics::Counter& m_rejects =
-      metrics::counter("lcm.admission_rejects");
-  static metrics::Counter& m_pauses = metrics::counter("lcm.busy_pauses");
   LcmSendWindow& w = *req.window;
   ntcs::UniqueLock lk(w.mu);
   if (w.closed) {
@@ -656,21 +620,18 @@ ntcs::Status LcmLayer::acquire_window(PendingRequest& req, bool& parked) {
       // whose deadline falls inside the pause cannot be served — reject
       // fast with the retriable overloaded.
       if (w.busy_until >= req.deadline) {
-        m_rejects.inc();
-        admission_rejects_.fetch_add(1, std::memory_order_relaxed);
+        admission_rejects_.inc();
         return ntcs::Status(ntcs::Errc::overloaded,
                             "destination busy past request deadline");
       }
-      m_pauses.inc();
-      busy_pauses_.fetch_add(1, std::memory_order_relaxed);
+      busy_pauses_.inc();
       parked = true;
       health::journal_note(health::EventKind::busy, "lcm", "busy_pause");
       while (!w.closed) {
         now = std::chrono::steady_clock::now();
         if (w.busy_until <= now) break;
         if (w.busy_until >= req.deadline) {
-          m_rejects.inc();
-          admission_rejects_.fetch_add(1, std::memory_order_relaxed);
+          admission_rejects_.inc();
           return ntcs::Status(ntcs::Errc::overloaded,
                               "destination busy past request deadline");
         }
@@ -691,8 +652,7 @@ ntcs::Status LcmLayer::acquire_window(PendingRequest& req, bool& parked) {
       const std::uint64_t est_ns =
           w.avg_service_ns * backlog / static_cast<std::uint64_t>(w.depth);
       if (now + std::chrono::nanoseconds(est_ns) > req.deadline) {
-        m_rejects.inc();
-        admission_rejects_.fetch_add(1, std::memory_order_relaxed);
+        admission_rejects_.inc();
         return ntcs::Status(ntcs::Errc::overloaded,
                             "queue-depth wait estimate exceeds deadline");
       }
@@ -714,8 +674,7 @@ ntcs::Status LcmLayer::acquire_window(PendingRequest& req, bool& parked) {
     return ntcs::Status(ntcs::Errc::timeout,
                         "send window full until request deadline");
   }
-  m_stalls.inc();
-  window_stalls_.fetch_add(1, std::memory_order_relaxed);
+  window_stalls_.inc();
   parked = true;
   const bool stall_traced = trace::enabled() && req.trace.valid();
   const std::int64_t stall_start = stall_traced ? trace::now_ns() : 0;
@@ -756,7 +715,6 @@ ntcs::Status LcmLayer::acquire_window(PendingRequest& req, bool& parked) {
 
 void LcmLayer::release_window(PendingRequest& req) {
   if (!req.window || !req.window_held.exchange(false)) return;
-  static metrics::Counter& m_sweeps = metrics::counter("lcm.waiter_sweeps");
   LcmSendWindow& w = *req.window;
   const auto now = std::chrono::steady_clock::now();
   const auto held = now - req.admitted_at;
@@ -774,8 +732,7 @@ void LcmLayer::release_window(PendingRequest& req) {
     swept = w.grant_locked(pipeline_depth_hist(), now);
   }
   if (swept != 0) {
-    m_sweeps.inc(swept);
-    waiter_sweeps_.fetch_add(swept, std::memory_order_relaxed);
+    waiter_sweeps_.inc(swept);
   }
   w.cv.notify_all();
 }
@@ -842,9 +799,7 @@ ntcs::Result<RequestTicket> LcmLayer::request_async(UAdd dst, Payload&& p,
   if (!dst.valid()) {
     return ntcs::Error(ntcs::Errc::bad_argument, "invalid destination");
   }
-  static metrics::Counter& m_requests = metrics::counter("lcm.requests");
-  count_app_send(m_requests, opts.internal);
-  requests_.fetch_add(1, std::memory_order_relaxed);
+  (opts.internal ? internal_sends_ : requests_).inc();
   auto t = std::make_shared<PendingRequest>();
   t->dst = dst;
   t->payload = std::move(p);
@@ -949,9 +904,7 @@ ntcs::Status LcmLayer::reply_body(const ReplyCtx& ctx, const Body& body) {
   if (!ctx.valid()) {
     return ntcs::Status(ntcs::Errc::bad_argument, "invalid reply context");
   }
-  replies_.fetch_add(1, std::memory_order_relaxed);
-  static metrics::Counter& m_replies = metrics::counter("lcm.replies");
-  m_replies.inc();
+  replies_.inc();
   convert::XferMode mode = convert::XferMode::image;
   ntcs::Bytes packed;
   auto image = encode_body(body, ctx.via.lvc, mode, packed);
@@ -1005,9 +958,7 @@ ntcs::Status LcmLayer::dgram_body(UAdd dst, const Body& body,
   if (!dst.valid()) {
     return ntcs::Status(ntcs::Errc::bad_argument, "invalid destination");
   }
-  dgrams_.fetch_add(1, std::memory_order_relaxed);
-  static metrics::Counter& m_dgrams = metrics::counter("lcm.dgrams");
-  count_app_send(m_dgrams, opts.internal);
+  (opts.internal ? internal_sends_ : dgrams_).inc();
   // Connectionless: one resolution attempt, no relocation recovery.
   auto sent = send_message(dst, wire::LcmKind::dgram, 0, body, opts, 1);
   if (!sent) return sent.error();
@@ -1023,9 +974,7 @@ void LcmLayer::on_ip_event(const IpEvent& ev) {
     case IpEvent::Kind::message: {
       auto decoded = wire::decode_lcm_view(ev.lcm_msg);
       if (!decoded) {
-        static metrics::Counter& m_decode_drops =
-            metrics::counter("lcm.decode_drops");
-        m_decode_drops.inc();
+        decode_drops_.inc();
         log_.warn("dropping undecodable LCM message: " +
                   decoded.error().to_string());
         return;
@@ -1039,7 +988,7 @@ void LcmLayer::on_ip_event(const IpEvent& ev) {
           m.header.src.valid() && !m.header.src.is_temporary();
       if (real_src && ev.peer_temporary) {
         ip_.nd().promote_peer(ev.via.lvc, m.header.src);
-        tadds_promoted_.fetch_add(1, std::memory_order_relaxed);
+        tadds_promoted_.inc();
       }
       // One lcm.state section per message: cache the reverse mapping so
       // sends to this peer reuse the inbound circuit (and pick up its
@@ -1071,13 +1020,10 @@ void LcmLayer::on_ip_event(const IpEvent& ev) {
                                        m.header.trace_parent};
       }
 
-      static metrics::Counter& m_received = metrics::counter("lcm.received");
-      static metrics::Counter& m_shed = metrics::counter("lcm.shed");
       switch (m.header.kind) {
         case wire::LcmKind::data:
         case wire::LcmKind::dgram: {
-          received_.fetch_add(1, std::memory_order_relaxed);
-          m_received.inc();
+          received_.inc();
           if (trace::enabled() && in.trace.valid()) {
             trace::record_event(in.trace, "lcm", "deliver",
                                 identity_->name());
@@ -1091,8 +1037,7 @@ void LcmLayer::on_ip_event(const IpEvent& ev) {
             // channel to signal on — the drop is visible in the metric and
             // the sender's trace (like a frame lost in transit; dgrams are
             // best-effort by contract anyway).
-            m_shed.inc();
-            shed_.fetch_add(1, std::memory_order_relaxed);
+            shed_.inc();
             health::journal_note(health::EventKind::shed, "lcm", "shed_data",
                                  cfg_.max_inbound_queue);
             if (trace::enabled() && tctx.valid()) {
@@ -1105,8 +1050,7 @@ void LcmLayer::on_ip_event(const IpEvent& ev) {
           in.is_request = true;
           in.reply_ctx =
               ReplyCtx{ev.via, m.header.req_id, m.header.src, in.trace};
-          received_.fetch_add(1, std::memory_order_relaxed);
-          m_received.inc();
+          received_.inc();
           if (trace::enabled() && in.trace.valid()) {
             trace::record_event(in.trace, "lcm", "deliver",
                                 identity_->name());
@@ -1121,8 +1065,7 @@ void LcmLayer::on_ip_event(const IpEvent& ev) {
             // Bounded queue full: shed the request and tell the sender so
             // with a busy reply — it pauses admission toward us instead of
             // retrying, and its caller gets the retriable overloaded.
-            m_shed.inc();
-            shed_.fetch_add(1, std::memory_order_relaxed);
+            shed_.inc();
             health::journal_note(health::EventKind::shed, "lcm", "shed_req",
                                  cfg_.max_inbound_queue);
             if (trace::enabled() && tctx.valid()) {
@@ -1139,10 +1082,7 @@ void LcmLayer::on_ip_event(const IpEvent& ev) {
             wire::HeaderBuf head;
             head.push_lcm(bh);
             if (ip_.send(ev.via, head, {}).ok()) {
-              static metrics::Counter& m_busy =
-                  metrics::counter("lcm.busy_frames");
-              m_busy.inc();
-              busy_frames_.fetch_add(1, std::memory_order_relaxed);
+              busy_frames_.inc();
             }
           }
           return;
@@ -1153,9 +1093,7 @@ void LcmLayer::on_ip_event(const IpEvent& ev) {
             // toward it and fail the request retriably — await() does NOT
             // re-send (only address faults retry; hammering an overloaded
             // peer is exactly what the busy frame asks us not to do).
-            static metrics::Counter& m_busy_recv =
-                metrics::counter("lcm.busy_received");
-            m_busy_recv.inc();
+            busy_received_.inc();
             health::journal_note(health::EventKind::busy, "lcm", "busy_recv");
             if (t && t->window) {
               ntcs::LockGuard wl(t->window->mu);
@@ -1274,28 +1212,6 @@ void LcmLayer::shutdown() {
 UAdd LcmLayer::current_target(UAdd dst) {
   ntcs::LockGuard lk(mu_);
   return chase_forward_locked(dst);
-}
-
-LcmLayer::Stats LcmLayer::stats() const {
-  constexpr auto r = std::memory_order_relaxed;
-  Stats out;
-  out.sends = sends_.load(r);
-  out.requests = requests_.load(r);
-  out.replies = replies_.load(r);
-  out.dgrams = dgrams_.load(r);
-  out.received = received_.load(r);
-  out.address_faults = address_faults_.load(r);
-  out.relocations = relocations_.load(r);
-  out.reconnects = reconnects_.load(r);
-  out.recursion_trips = recursion_trips_.load(r);
-  out.tadds_promoted = tadds_promoted_.load(r);
-  out.window_stalls = window_stalls_.load(r);
-  out.shed = shed_.load(r);
-  out.busy_frames = busy_frames_.load(r);
-  out.busy_pauses = busy_pauses_.load(r);
-  out.admission_rejects = admission_rejects_.load(r);
-  out.waiter_sweeps = waiter_sweeps_.load(r);
-  return out;
 }
 
 }  // namespace ntcs::core

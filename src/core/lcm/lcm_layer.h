@@ -36,6 +36,7 @@
 #include "common/bytes.h"
 #include "common/error.h"
 #include "common/log.h"
+#include "common/metrics.h"
 #include "common/queue.h"
 #include "common/rng.h"
 #include "convert/mode.h"
@@ -183,8 +184,9 @@ struct LcmConfig {
 
 class LcmLayer {
  public:
+  /// Counters go to `metrics`, the owning module's scope.
   LcmLayer(IpLayer& ip, std::shared_ptr<Identity> identity,
-           LcmConfig cfg = {});
+           metrics::MetricsRegistry& metrics, LcmConfig cfg = {});
 
   LcmLayer(const LcmLayer&) = delete;
   LcmLayer& operator=(const LcmLayer&) = delete;
@@ -258,26 +260,6 @@ class LcmLayer {
 
   /// Where sends to `dst` currently go after forwarding (for tests).
   UAdd current_target(UAdd dst);
-
-  struct Stats {
-    std::uint64_t sends = 0;
-    std::uint64_t requests = 0;
-    std::uint64_t replies = 0;
-    std::uint64_t dgrams = 0;
-    std::uint64_t received = 0;
-    std::uint64_t address_faults = 0;
-    std::uint64_t relocations = 0;     // forwarding entries installed
-    std::uint64_t reconnects = 0;      // circuit re-establishments
-    std::uint64_t recursion_trips = 0; // guard rejections
-    std::uint64_t tadds_promoted = 0;
-    std::uint64_t window_stalls = 0;   // callers that blocked on a full window
-    std::uint64_t shed = 0;            // inbound messages dropped at the bound
-    std::uint64_t busy_frames = 0;     // busy replies sent back to requesters
-    std::uint64_t busy_pauses = 0;     // admissions paused by a peer's busy
-    std::uint64_t admission_rejects = 0;  // overloaded fast-rejects
-    std::uint64_t waiter_sweeps = 0;   // expired waiters swept from windows
-  };
-  Stats stats() const;
 
  private:
   /// An outbound body as the send path sees it: a view of the image plus
@@ -357,25 +339,38 @@ class LcmLayer {
   /// is keyed the same way).
   std::unordered_map<UAdd, std::shared_ptr<LcmSendWindow>> windows_
       GUARDED_BY(mu_);
-  // sync: relaxed stat counters behind stats(), bumped on callers, the
-  // pump and under window locks without lcm.state; none orders other
-  // memory.
-  std::atomic<std::uint64_t> sends_{0};
-  std::atomic<std::uint64_t> requests_{0};           // sync: as above
-  std::atomic<std::uint64_t> replies_{0};            // sync: as above
-  std::atomic<std::uint64_t> dgrams_{0};             // sync: as above
-  std::atomic<std::uint64_t> received_{0};           // sync: as above
-  std::atomic<std::uint64_t> address_faults_{0};     // sync: as above
-  std::atomic<std::uint64_t> relocations_{0};        // sync: as above
-  std::atomic<std::uint64_t> reconnects_{0};         // sync: as above
-  std::atomic<std::uint64_t> recursion_trips_{0};    // sync: as above
-  std::atomic<std::uint64_t> tadds_promoted_{0};     // sync: as above
-  std::atomic<std::uint64_t> window_stalls_{0};      // sync: as above
-  std::atomic<std::uint64_t> shed_{0};               // sync: as above
-  std::atomic<std::uint64_t> busy_frames_{0};        // sync: as above
-  std::atomic<std::uint64_t> busy_pauses_{0};        // sync: as above
-  std::atomic<std::uint64_t> admission_rejects_{0};  // sync: as above
-  std::atomic<std::uint64_t> waiter_sweeps_{0};      // sync: as above
+  metrics::MetricsRegistry& metrics_;
+  // Monitored (application) traffic. NTCS/DRTS-internal sends, requests
+  // and dgrams — NSP queries, monitor samples, time-service exchanges —
+  // count once, under lcm.internal_sends: the same exemption §6.1 applies
+  // to the monitor hook, so observing the system does not move the
+  // numbers it reports.
+  metrics::Counter& sends_ = metrics_.counter("lcm.sends");
+  metrics::Counter& requests_ = metrics_.counter("lcm.requests");
+  metrics::Counter& dgrams_ = metrics_.counter("lcm.dgrams");
+  metrics::Counter& internal_sends_ = metrics_.counter("lcm.internal_sends");
+  metrics::Counter& replies_ = metrics_.counter("lcm.replies");
+  metrics::Counter& received_ = metrics_.counter("lcm.received");
+  metrics::Counter& decode_drops_ = metrics_.counter("lcm.decode_drops");
+  // UAdd -> destination memoization (resolved_cache_); the name -> UAdd
+  // lease cache and its nsp.cache_* counters live in the NSP-Layer.
+  metrics::Counter& resolve_hits_ = metrics_.counter("lcm.resolve_hits");
+  metrics::Counter& resolve_misses_ = metrics_.counter("lcm.resolve_misses");
+  metrics::Counter& address_faults_ = metrics_.counter("lcm.address_faults");
+  metrics::Counter& fault_backoffs_ = metrics_.counter("lcm.fault_backoffs");
+  metrics::Counter& relocations_ = metrics_.counter("lcm.relocations");
+  metrics::Counter& reconnects_ = metrics_.counter("lcm.reconnects");
+  metrics::Counter& recursion_trips_ =
+      metrics_.counter("lcm.recursion_trips");
+  metrics::Counter& tadds_promoted_ = metrics_.counter("lcm.tadds_promoted");
+  metrics::Counter& window_stalls_ = metrics_.counter("lcm.window_stalls");
+  metrics::Counter& waiter_sweeps_ = metrics_.counter("lcm.waiter_sweeps");
+  metrics::Counter& admission_rejects_ =
+      metrics_.counter("lcm.admission_rejects");
+  metrics::Counter& busy_pauses_ = metrics_.counter("lcm.busy_pauses");
+  metrics::Counter& busy_received_ = metrics_.counter("lcm.busy_received");
+  metrics::Counter& shed_ = metrics_.counter("lcm.shed");
+  metrics::Counter& busy_frames_ = metrics_.counter("lcm.busy_frames");
   /// Name-Server candidates per well-known NS UAdd (the classic server
   /// plus one entry per shard): primary first, then standby/replicas. The
   /// address-fault path rotates through them instead of consulting the

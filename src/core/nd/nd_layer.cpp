@@ -21,13 +21,15 @@ void publish_channels(std::size_t n) {
 }  // namespace
 
 NdLayer::NdLayer(IpcsBackend& backend, std::string local_name,
-                 std::shared_ptr<Identity> identity, NdConfig cfg)
+                 std::shared_ptr<Identity> identity,
+                 metrics::MetricsRegistry& metrics, NdConfig cfg)
     : backend_(backend),
       local_name_(std::move(local_name)),
       identity_(std::move(identity)),
       cfg_(cfg),
       log_("nd", identity_->name()),
-      rng_(ntcs::seed_from(local_name_, 0x4E444C59ULL /* "NDLY" */)) {}
+      rng_(ntcs::seed_from(local_name_, 0x4E444C59ULL /* "NDLY" */)),
+      metrics_(metrics) {}
 
 NdLayer::~NdLayer() { shutdown(); }
 
@@ -48,11 +50,8 @@ ntcs::Result<LvcId> NdLayer::open(const PhysAddr& dst) {
   if (!port_) {
     return ntcs::Error(ntcs::Errc::bad_argument, "ND-Layer not bound");
   }
-  opens_initiated_.fetch_add(1, std::memory_order_relaxed);
-  static metrics::Counter& m_opens = metrics::counter("nd.opens");
-  static metrics::Counter& m_retries = metrics::counter("nd.open_retries");
   static metrics::Histogram& m_open_ns = metrics::histogram("nd.open_ns");
-  m_opens.inc();
+  opens_.inc();
   metrics::ScopedTimer open_timer(m_open_ns);
   // Retry on open (§2.2: "no automatic relocation or recovery from failed
   // channels (except for retry on open)"), spacing attempts with capped
@@ -69,8 +68,7 @@ ntcs::Result<LvcId> NdLayer::open(const PhysAddr& dst) {
         health::journal_note(health::EventKind::retry, "nd", "open_retry",
                              static_cast<std::uint64_t>(attempt));
       }
-      open_retries_.fetch_add(1, std::memory_order_relaxed);
-      m_retries.inc();
+      open_retries_.inc();
       std::this_thread::sleep_for(delay);
     }
     auto chan = port_->connect(dst.blob);
@@ -171,9 +169,7 @@ ntcs::Status NdLayer::send(LvcId lvc, wire::HeaderBuf& head,
     }
     tx = it->second.tx;
   }
-  messages_sent_.fetch_add(1, std::memory_order_relaxed);
-  static metrics::Counter& m_sent = metrics::counter("nd.msgs_sent");
-  m_sent.inc();
+  msgs_sent_.inc();
   head.push_nd_payload();
   return send_frames(lvc, std::move(tx), head.view(), body);
 }
@@ -193,8 +189,6 @@ ntcs::Status NdLayer::send_frames(LvcId lvc, std::shared_ptr<TxState> tx,
     // handshake racing creation); private state preserves the invariant.
     tx = std::make_shared<TxState>();
   }
-  static metrics::Counter& m_no_copy =
-      metrics::counter("nd.frag_copies_avoided");
   const trace::TraceContext tctx =
       trace::enabled() ? trace::current() : trace::TraceContext{};
   const std::int64_t frag_start = tctx.valid() ? trace::now_ns() : 0;
@@ -221,8 +215,7 @@ ntcs::Status NdLayer::send_frames(LvcId lvc, std::shared_ptr<TxState> tx,
       ++frames;
     }
   }
-  m_no_copy.inc(frames);
-  frag_copies_avoided_.fetch_add(frames, std::memory_order_relaxed);
+  frag_copies_avoided_.inc(frames);
   if (tctx.valid()) {
     trace::record_child(tctx, "nd", "fragment", identity_->name(), frag_start,
                         trace::now_ns(), static_cast<std::uint32_t>(frames));
@@ -238,7 +231,7 @@ ntcs::Status NdLayer::close(LvcId lvc) {
     }
     publish_channels(lvcs_.size());
   }
-  lvcs_closed_.fetch_add(1, std::memory_order_relaxed);
+  lvcs_closed_.inc();
   if (port_) (void)port_->close_channel(lvc);
   return ntcs::Status::success();
 }
@@ -286,16 +279,13 @@ ntcs::Result<std::optional<NdEvent>> NdLayer::handle_delivery(IpcsDelivery d) {
         waiter->cv.notify_all();
       }
       if (!known) return std::optional<NdEvent>{};
-      lvcs_closed_.fetch_add(1, std::memory_order_relaxed);
+      lvcs_closed_.inc();
       NdEvent ev;
       ev.kind = NdEvent::Kind::closed;
       ev.lvc = d.chan;
       return std::optional<NdEvent>{std::move(ev)};
     }
     case IpcsDeliveryKind::data: {
-      static metrics::Counter& m_dedup = metrics::counter("nd.frames_deduped");
-      static metrics::Counter& m_resync =
-          metrics::counter("nd.frames_resynced");
       ntcs::Bytes complete;
       std::size_t offset = 0;
       bool peer_temporary = false;
@@ -313,8 +303,7 @@ ntcs::Result<std::optional<NdEvent>> NdLayer::handle_delivery(IpcsDelivery d) {
         if (fed.value().dropped) {
           // Duplicate or stale frame from a misbehaving substrate — the
           // application must never see it twice (or late).
-          frames_deduped_.fetch_add(1, std::memory_order_relaxed);
-          m_dedup.inc();
+          frames_deduped_.inc();
           if (trace::enabled()) {
             // A dropped frame never reassembles, so its trace context is
             // unrecoverable: a context-free event marks where dedup work
@@ -330,8 +319,7 @@ ntcs::Result<std::optional<NdEvent>> NdLayer::handle_delivery(IpcsDelivery d) {
           // upward") but the stream continues cleanly from here. Orphan
           // continuations (head frame lost before the resync point) are
           // part of the same loss event.
-          frames_resynced_.fetch_add(1, std::memory_order_relaxed);
-          m_resync.inc();
+          frames_resynced_.inc();
           if (trace::enabled()) {
             trace::record_event(trace::TraceContext{}, "nd", "resync",
                                 identity_->name());
@@ -378,9 +366,7 @@ ntcs::Result<std::optional<NdEvent>> NdLayer::handle_message(
     return std::optional<NdEvent>{};
   }
   if (view.value().kind == wire::NdKind::payload) {
-    messages_received_.fetch_add(1, std::memory_order_relaxed);
-    static metrics::Counter& m_recv = metrics::counter("nd.msgs_received");
-    m_recv.inc();
+    msgs_received_.inc();
     NdEvent ev;
     ev.kind = NdEvent::Kind::message;
     ev.lvc = lvc;
@@ -414,7 +400,7 @@ ntcs::Result<std::optional<NdEvent>> NdLayer::handle_message(
           phys_cache_[m.open.src_uadd] = PhysAddr{m.open.src_phys};
         }
       }
-      opens_accepted_.fetch_add(1, std::memory_order_relaxed);
+      opens_accepted_.inc();
       wire::NdOpenAck ack;
       ack.uadd = identity_->uadd();
       ack.arch = convert::arch_wire_id(identity_->arch());
@@ -475,7 +461,7 @@ void NdLayer::promote_peer(LvcId lvc, UAdd real) {
     if (it->second.peer.phys.valid()) {
       phys_cache_[real] = it->second.peer.phys;
     }
-    tadds_promoted_.fetch_add(1, std::memory_order_relaxed);
+    tadds_promoted_.inc();
     log_.debug("promoted peer TAdd to " + real.to_string() + " on LVC " +
                std::to_string(lvc));
   }
@@ -501,22 +487,6 @@ void NdLayer::uncache_phys(UAdd uadd) {
 
 void NdLayer::shutdown() {
   if (port_) port_->close();
-}
-
-NdLayer::Stats NdLayer::stats() const {
-  constexpr auto r = std::memory_order_relaxed;
-  Stats out;
-  out.opens_initiated = opens_initiated_.load(r);
-  out.open_retries = open_retries_.load(r);
-  out.opens_accepted = opens_accepted_.load(r);
-  out.messages_sent = messages_sent_.load(r);
-  out.messages_received = messages_received_.load(r);
-  out.lvcs_closed = lvcs_closed_.load(r);
-  out.tadds_promoted = tadds_promoted_.load(r);
-  out.frames_deduped = frames_deduped_.load(r);
-  out.frames_resynced = frames_resynced_.load(r);
-  out.frag_copies_avoided = frag_copies_avoided_.load(r);
-  return out;
 }
 
 }  // namespace ntcs::core

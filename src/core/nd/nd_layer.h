@@ -19,7 +19,6 @@
 //     real UAdd is learned.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -32,6 +31,7 @@
 #include "common/bytes.h"
 #include "common/error.h"
 #include "common/log.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "convert/machine.h"
 #include "core/addr.h"
@@ -87,8 +87,10 @@ struct NdConfig {
 
 class NdLayer {
  public:
+  /// Counters go to `metrics`, the owning module's scope.
   NdLayer(IpcsBackend& backend, std::string local_name,
-          std::shared_ptr<Identity> identity, NdConfig cfg = {});
+          std::shared_ptr<Identity> identity,
+          metrics::MetricsRegistry& metrics, NdConfig cfg = {});
   ~NdLayer();
 
   NdLayer(const NdLayer&) = delete;
@@ -144,25 +146,6 @@ class NdLayer {
   void shutdown();
 
   IpcsBackend& backend() { return backend_; }
-
-  /// Counters for tests/benches.
-  struct Stats {
-    std::uint64_t opens_initiated = 0;
-    std::uint64_t open_retries = 0;
-    std::uint64_t opens_accepted = 0;
-    std::uint64_t messages_sent = 0;
-    std::uint64_t messages_received = 0;
-    std::uint64_t lvcs_closed = 0;
-    std::uint64_t tadds_promoted = 0;
-    std::uint64_t frames_deduped = 0;   // duplicate/stale frames suppressed
-    std::uint64_t frames_resynced = 0;  // reassembly resyncs after a gap
-    // Frames gathered straight from the encoded headers and the caller's
-    // payload into the substrate — each one a per-frame Bytes
-    // materialisation (and, for a data message, a per-layer copy of its
-    // payload) that never happens.
-    std::uint64_t frag_copies_avoided = 0;
-  };
-  Stats stats() const;
 
  private:
   /// Per-circuit transmit state: the lock serialises multi-fragment
@@ -220,18 +203,23 @@ class NdLayer {
   std::unordered_map<LvcId, std::shared_ptr<OpenWaiter>> open_waiters_
       GUARDED_BY(mu_);
   std::unordered_map<UAdd, PhysAddr> phys_cache_ GUARDED_BY(mu_);
-  // sync: relaxed stat counters behind stats(), bumped without nd.state
-  // on the send path and the pump; none orders other memory.
-  std::atomic<std::uint64_t> opens_initiated_{0};
-  std::atomic<std::uint64_t> open_retries_{0};         // sync: as above
-  std::atomic<std::uint64_t> opens_accepted_{0};       // sync: as above
-  std::atomic<std::uint64_t> messages_sent_{0};        // sync: as above
-  std::atomic<std::uint64_t> messages_received_{0};    // sync: as above
-  std::atomic<std::uint64_t> lvcs_closed_{0};          // sync: as above
-  std::atomic<std::uint64_t> tadds_promoted_{0};       // sync: as above
-  std::atomic<std::uint64_t> frames_deduped_{0};       // sync: as above
-  std::atomic<std::uint64_t> frames_resynced_{0};      // sync: as above
-  std::atomic<std::uint64_t> frag_copies_avoided_{0};  // sync: as above
+  metrics::MetricsRegistry& metrics_;
+  metrics::Counter& opens_ = metrics_.counter("nd.opens");
+  metrics::Counter& open_retries_ = metrics_.counter("nd.open_retries");
+  metrics::Counter& opens_accepted_ = metrics_.counter("nd.opens_accepted");
+  metrics::Counter& msgs_sent_ = metrics_.counter("nd.msgs_sent");
+  metrics::Counter& msgs_received_ = metrics_.counter("nd.msgs_received");
+  metrics::Counter& lvcs_closed_ = metrics_.counter("nd.lvcs_closed");
+  metrics::Counter& tadds_promoted_ = metrics_.counter("nd.tadds_promoted");
+  // Duplicate/stale frames suppressed, and reassembly resyncs after a gap.
+  metrics::Counter& frames_deduped_ = metrics_.counter("nd.frames_deduped");
+  metrics::Counter& frames_resynced_ = metrics_.counter("nd.frames_resynced");
+  // Frames gathered straight from the encoded headers and the caller's
+  // payload into the substrate — each one a per-frame Bytes
+  // materialisation (and, for a data message, a per-layer copy of its
+  // payload) that never happens.
+  metrics::Counter& frag_copies_avoided_ =
+      metrics_.counter("nd.frag_copies_avoided");
 };
 
 }  // namespace ntcs::core

@@ -22,10 +22,10 @@ Node::Node(NodeConfig cfg)
     : cfg_(std::move(cfg)),
       identity_(std::make_shared<Identity>(cfg_.name, cfg_.backend->arch(),
                                            cfg_.net)),
-      nd_(*cfg_.backend, cfg_.name, identity_, cfg_.nd),
-      ip_(nd_, identity_, cfg_.net, cfg_.ip),
-      lcm_(ip_, identity_, cfg_.lcm),
-      nsp_(lcm_, identity_),
+      nd_(*cfg_.backend, cfg_.name, identity_, metrics_, cfg_.nd),
+      ip_(nd_, identity_, metrics_, cfg_.net, cfg_.ip),
+      lcm_(ip_, identity_, metrics_, cfg_.lcm),
+      nsp_(lcm_, identity_, metrics_),
       commod_(lcm_, nsp_, identity_) {}
 
 Node::~Node() { stop(); }

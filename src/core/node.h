@@ -6,12 +6,15 @@
 // that drives deliveries upward through them. The layers themselves stay
 // passive, exactly as in the paper; the pump is the modern stand-in for
 // the original's in-process upcall path, and it NEVER blocks — every
-// blocking primitive runs on application/service threads.
+// blocking primitive runs on application/service threads. Every counter
+// the layers bump lives in the node's own metrics scope (metrics()), a
+// child of the process root.
 #pragma once
 
 #include <memory>
 #include <thread>
 
+#include "common/metrics.h"
 #include "core/ali/commod.h"
 #include "core/identity.h"
 #include "core/ip/ip_layer.h"
@@ -55,6 +58,9 @@ class Node {
   /// only then knows their physical addresses.
   void install_well_known(const WellKnownTable& wk);
 
+  /// This module's counters (per-module numbers; the process root adds
+  /// them into its totals).
+  metrics::MetricsRegistry& metrics() { return metrics_; }
   Identity& identity() { return *identity_; }
   std::shared_ptr<Identity> identity_ptr() { return identity_; }
   NdLayer& nd() { return nd_; }
@@ -74,6 +80,8 @@ class Node {
   void pump_main(const std::stop_token& st);
 
   NodeConfig cfg_;
+  // Declared before the layers, which hold references into it.
+  metrics::MetricsRegistry metrics_{metrics::MetricsRegistry::instance()};
   std::shared_ptr<Identity> identity_;
   NdLayer nd_;
   IpLayer ip_;

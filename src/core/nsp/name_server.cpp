@@ -4,20 +4,28 @@
 
 namespace ntcs::core {
 
-NameServer::NameServer(NodeConfig cfg, NsRole role, NsShardConfig shard)
-    : shard_cfg_(shard),
-      shard_map_(shard.num_shards == 0 ? 1 : shard.num_shards),
-      role_(role) {
-  shard_cfg_.num_shards = shard_map_.size();
+namespace {
+
+/// cfg with the default "name-server[-<shard>][-replica|-standby]" name
+/// filled in when it has none.
+NodeConfig named(NodeConfig cfg, NsRole role, std::size_t shard) {
   if (cfg.name.empty()) {
     cfg.name = "name-server";
-    if (shard_cfg_.shard != 0) {
-      cfg.name += "-" + std::to_string(shard_cfg_.shard);
-    }
+    if (shard != 0) cfg.name += "-" + std::to_string(shard);
     if (role == NsRole::replica) cfg.name += "-replica";
     if (role == NsRole::standby) cfg.name += "-standby";
   }
-  node_ = std::make_unique<Node>(std::move(cfg));
+  return cfg;
+}
+
+}  // namespace
+
+NameServer::NameServer(NodeConfig cfg, NsRole role, NsShardConfig shard)
+    : node_(std::make_unique<Node>(named(std::move(cfg), role, shard.shard))),
+      shard_cfg_(shard),
+      shard_map_(shard.num_shards == 0 ? 1 : shard.num_shards),
+      role_(role) {
+  shard_cfg_.num_shards = shard_map_.size();
   // The server *is* the well-known UAdd — it never registers with itself
   // over the wire (it could not: §3.4, it "can not provide its own"
   // address prior to connection). A standby answers on the same UAdd as
@@ -27,10 +35,6 @@ NameServer::NameServer(NodeConfig cfg, NsRole role, NsShardConfig shard)
   // Start the monotone counter on this shard's residue so every shard
   // mints from a disjoint stripe of the dynamic UAdd space.
   next_uadd_ = kFirstDynamicUAdd + shard_cfg_.shard;
-  // cached: per-shard counter resolved once at construction (the name is
-  // dynamic, so a static local cannot cache it).
-  m_shard_lookups_ = &metrics::counter("ns.shard_lookups.s" +
-                                       std::to_string(shard_cfg_.shard));
 }
 
 NameServer::~NameServer() { stop(); }
@@ -108,8 +112,7 @@ void NameServer::serve(const std::stop_token& st) {
     auto req = nsp::decode_request(in.value().payload);
     ntcs::Bytes response;
     if (!req) {
-      ntcs::LockGuard lk(mu_);
-      ++stats_.bad_requests;
+      bad_requests_.inc();
       response = nsp::encode_error_response(ntcs::Errc::bad_message,
                                             req.error().to_string());
     } else {
@@ -176,7 +179,7 @@ void NameServer::apply_replica_update(const nsp::ReplicaUpdate& u) {
     }
     db_[rec.uadd] = std::move(rec);
   }
-  ++stats_.replications_applied;
+  replications_applied_.inc();
 }
 
 void NameServer::flush_replication() {
@@ -197,8 +200,7 @@ void NameServer::flush_replication() {
     const ntcs::Bytes body = nsp::encode_replicate(u);
     for (UAdd link : links) {
       (void)node_->lcm().dgram(link, Payload::raw(body), opts);
-      ntcs::LockGuard lk(mu_);
-      ++stats_.replications_sent;
+      replications_sent_.inc();
     }
   }
 }
@@ -234,8 +236,7 @@ ntcs::Status NameServer::add_replica(const NsReplicaInfo& info,
     auto st = node_->lcm().dgram(link, Payload::raw(nsp::encode_replicate(u)),
                                  opts);
     if (!st.ok()) return st;
-    ntcs::LockGuard lk(mu_);
-    ++stats_.replications_sent;
+    replications_sent_.inc();
   }
   return ntcs::Status::success();
 }
@@ -270,8 +271,7 @@ std::size_t NameServer::load_records(const std::string& prefix,
 }
 
 ntcs::Bytes NameServer::handle(const nsp::Request& req) {
-  static metrics::Counter& m_requests = metrics::counter("nsp.ns_requests");
-  m_requests.inc();
+  requests_.inc();
   switch (req.op) {
     case nsp::NsOp::register_module:
       return handle_register(req.reg);
@@ -294,8 +294,7 @@ ntcs::Bytes NameServer::handle(const nsp::Request& req) {
       // is a protocol violation.
       break;
   }
-  ntcs::LockGuard lk(mu_);
-  ++stats_.bad_requests;
+  bad_requests_.inc();
   return nsp::encode_error_response(ntcs::Errc::bad_message, "unknown op");
 }
 
@@ -325,16 +324,14 @@ const NameServer::DbRecord* NameServer::find_by_name_locked(
 }
 
 void NameServer::bump_epoch_locked() {
-  static metrics::Counter& m_bumps = metrics::counter("ns.epoch_bumps");
   ++epoch_;
-  ++stats_.epoch_bumps;
-  m_bumps.inc();
+  epoch_bumps_.inc();
 }
 
 bool NameServer::writable_locked(ntcs::Bytes* reject) {
   if (role_ == NsRole::primary) return true;
   if (role_ == NsRole::replica) {
-    ++stats_.writes_rejected;
+    writes_rejected_.inc();
     *reject = nsp::encode_error_response(
         ntcs::Errc::unsupported,
         "name-server replica is read-only; register with the primary");
@@ -343,10 +340,10 @@ bool NameServer::writable_locked(ntcs::Bytes* reject) {
   // Standby: the §3.5 "really inactive?" determination, applied to the
   // naming service itself. A write reaching us means a client's candidate
   // rotation gave up on the primary — verify before usurping it.
-  ++stats_.liveness_probes;
+  liveness_probes_.inc();
   if (shard_cfg_.primary_phys.valid() &&
       node_->backend().probe(shard_cfg_.primary_phys.blob)) {
-    ++stats_.writes_rejected;
+    writes_rejected_.inc();
     *reject = nsp::encode_error_response(
         ntcs::Errc::unsupported,
         "standby: shard primary still reachable; retry there");
@@ -354,17 +351,15 @@ bool NameServer::writable_locked(ntcs::Bytes* reject) {
   }
   // The primary is gone: promote. The epoch bump invalidates every lease
   // it ever granted, so no client keeps acting on its answers.
-  static metrics::Counter& m_failovers = metrics::counter("ns.failovers");
   role_ = NsRole::primary;
-  ++stats_.promotions;
+  failovers_.inc();
   bump_epoch_locked();
-  m_failovers.inc();
   return true;
 }
 
 ntcs::Bytes NameServer::handle_register(const nsp::RegisterRequest& r) {
   ntcs::LockGuard lk(mu_);
-  ++stats_.registers;
+  registers_.inc();
   ntcs::Bytes reject;
   if (!writable_locked(&reject)) return reject;
   if (r.name.empty()) {
@@ -377,7 +372,7 @@ ntcs::Bytes NameServer::handle_register(const nsp::RegisterRequest& r) {
   }
   if (shard_map_.sharded() &&
       shard_map_.shard_of(r.name) != shard_cfg_.shard) {
-    ++stats_.wrong_shard;
+    wrong_shard_.inc();
     return nsp::encode_error_response(
         ntcs::Errc::wrong_shard,
         "name '" + r.name + "' belongs to shard " +
@@ -427,11 +422,10 @@ ntcs::Bytes NameServer::handle_register(const nsp::RegisterRequest& r) {
 }
 
 ntcs::Bytes NameServer::handle_lookup(const std::string& name) {
-  static metrics::Counter& m_lookups = metrics::counter("ns.shard_lookups");
-  m_lookups.inc();
-  m_shard_lookups_->inc();
+  shard_lookups_.inc();
+  this_shard_lookups_.inc();
+  lookups_.inc();
   ntcs::LockGuard lk(mu_);
-  ++stats_.lookups;
   const DbRecord* best = find_by_name_locked(name);
   if (best == nullptr) {
     // Names we own are authoritatively absent; anything else is the
@@ -439,7 +433,7 @@ ntcs::Bytes NameServer::handle_lookup(const std::string& name) {
     // silent wrong answer.
     if (shard_map_.sharded() &&
         shard_map_.shard_of(name) != shard_cfg_.shard) {
-      ++stats_.wrong_shard;
+      wrong_shard_.inc();
       return nsp::encode_error_response(
           ntcs::Errc::wrong_shard,
           "name '" + name + "' belongs to shard " +
@@ -458,7 +452,7 @@ ntcs::Bytes NameServer::handle_lookup(const std::string& name) {
 
 ntcs::Bytes NameServer::handle_lookup_attrs(const nsp::AttrMap& attrs) {
   ntcs::LockGuard lk(mu_);
-  ++stats_.lookups;
+  lookups_.inc();
   std::vector<UAdd> matches;
   for (const auto& [uadd, rec] : db_) {
     if (rec.deregistered) continue;
@@ -486,9 +480,9 @@ static bool foreign_stripe(UAdd uadd, const NsShardConfig& cfg) {
 
 ntcs::Bytes NameServer::handle_resolve(UAdd uadd) {
   ntcs::LockGuard lk(mu_);
-  ++stats_.resolves;
+  resolves_.inc();
   if (foreign_stripe(uadd, shard_cfg_)) {
-    ++stats_.wrong_shard;
+    wrong_shard_.inc();
     return nsp::encode_error_response(
         ntcs::Errc::wrong_shard,
         "UAdd " + uadd.to_string() + " lives on another shard's stripe");
@@ -512,9 +506,9 @@ ntcs::Bytes NameServer::handle_forward(UAdd old_uadd) {
   // UAdd to its name, and then looking for a similar name in a newer
   // module."
   ntcs::LockGuard lk(mu_);
-  ++stats_.forwards;
+  forwards_.inc();
   if (foreign_stripe(old_uadd, shard_cfg_)) {
-    ++stats_.wrong_shard;
+    wrong_shard_.inc();
     return nsp::encode_error_response(
         ntcs::Errc::wrong_shard,
         "UAdd " + old_uadd.to_string() + " lives on another shard's stripe");
@@ -526,7 +520,7 @@ ntcs::Bytes NameServer::handle_forward(UAdd old_uadd) {
   }
   DbRecord& old = it->second;
   if (!old.deregistered) {
-    ++stats_.liveness_probes;
+    liveness_probes_.inc();
     if (node_->backend().probe(old.phys)) {
       // "the original module is still alive" — the caller should simply
       // reconnect.
@@ -564,7 +558,7 @@ ntcs::Bytes NameServer::handle_forward(UAdd old_uadd) {
     return nsp::encode_error_response(ntcs::Errc::not_found,
                                       "no replacement module located");
   }
-  ++stats_.forward_hits;
+  forward_hits_.inc();
   return nsp::encode_uadd_response(best->uadd);
 }
 
@@ -578,7 +572,7 @@ ntcs::Bytes NameServer::handle_gateways() {
     // dead and must not appear on routes.
     bool any_alive = false;
     for (const auto& phys : rec.gw_phys) {
-      ++stats_.liveness_probes;
+      liveness_probes_.inc();
       if (node_->backend().probe(phys)) {
         any_alive = true;
         break;
@@ -608,7 +602,7 @@ ntcs::Bytes NameServer::handle_deregister(UAdd uadd) {
   ntcs::Bytes reject;
   if (!writable_locked(&reject)) return reject;
   if (foreign_stripe(uadd, shard_cfg_)) {
-    ++stats_.wrong_shard;
+    wrong_shard_.inc();
     return nsp::encode_error_response(
         ntcs::Errc::wrong_shard,
         "UAdd " + uadd.to_string() + " lives on another shard's stripe");
@@ -641,11 +635,6 @@ std::optional<ResolveInfo> NameServer::db_lookup(UAdd uadd) const {
   info.arch = convert::arch_from_wire_id(it->second.arch)
                   .value_or(convert::Arch::vax780);
   return info;
-}
-
-NameServer::Stats NameServer::stats() const {
-  ntcs::LockGuard lk(mu_);
-  return stats_;
 }
 
 }  // namespace ntcs::core

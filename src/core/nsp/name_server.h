@@ -106,23 +106,6 @@ class NameServer {
   std::size_t record_count() const;
   std::optional<ResolveInfo> db_lookup(UAdd uadd) const;
 
-  struct Stats {
-    std::uint64_t registers = 0;
-    std::uint64_t lookups = 0;
-    std::uint64_t resolves = 0;
-    std::uint64_t forwards = 0;
-    std::uint64_t forward_hits = 0;     // a successor was found
-    std::uint64_t liveness_probes = 0;  // §3.5 "really inactive?" checks
-    std::uint64_t bad_requests = 0;
-    std::uint64_t replications_sent = 0;
-    std::uint64_t replications_applied = 0;
-    std::uint64_t writes_rejected = 0;  // writes arriving at a replica
-    std::uint64_t wrong_shard = 0;      // traffic for a shard we don't own
-    std::uint64_t promotions = 0;       // standby -> primary takeovers
-    std::uint64_t epoch_bumps = 0;      // moves + promotions
-  };
-  Stats stats() const;
-
  private:
   struct DbRecord {
     UAdd uadd;
@@ -163,7 +146,35 @@ class NameServer {
   std::unique_ptr<Node> node_;
   NsShardConfig shard_cfg_;
   nsp::ShardMap shard_map_;  // immutable after construction
-  metrics::Counter* m_shard_lookups_ = nullptr;  // per-shard series
+  // The server's counters live in its node's scope.
+  metrics::MetricsRegistry& metrics_ = node_->metrics();
+  metrics::Counter& requests_ = metrics_.counter("nsp.ns_requests");
+  metrics::Counter& bad_requests_ = metrics_.counter("ns.bad_requests");
+  metrics::Counter& registers_ = metrics_.counter("ns.registers");
+  metrics::Counter& lookups_ = metrics_.counter("ns.lookups");  // + attrs
+  metrics::Counter& shard_lookups_ = metrics_.counter("ns.shard_lookups");
+  // The same name lookups under a per-shard name, so the process-wide
+  // view keeps them apart.
+  metrics::Counter& this_shard_lookups_ = metrics_.counter(
+      "ns.shard_lookups.s" + std::to_string(shard_cfg_.shard));
+  metrics::Counter& resolves_ = metrics_.counter("ns.resolves");
+  metrics::Counter& forwards_ = metrics_.counter("ns.forwards");
+  // A successor was found.
+  metrics::Counter& forward_hits_ = metrics_.counter("ns.forward_hits");
+  // §3.5 "really inactive?" checks.
+  metrics::Counter& liveness_probes_ = metrics_.counter("ns.liveness_probes");
+  metrics::Counter& replications_sent_ =
+      metrics_.counter("ns.replications_sent");
+  metrics::Counter& replications_applied_ =
+      metrics_.counter("ns.replications_applied");
+  // Writes arriving at a replica (or at a standby whose primary lives).
+  metrics::Counter& writes_rejected_ = metrics_.counter("ns.writes_rejected");
+  // Traffic for a name or UAdd stripe this shard does not own.
+  metrics::Counter& wrong_shard_ = metrics_.counter("ns.wrong_shard");
+  // Standby -> primary takeovers.
+  metrics::Counter& failovers_ = metrics_.counter("ns.failovers");
+  // Module moves + promotions.
+  metrics::Counter& epoch_bumps_ = metrics_.counter("ns.epoch_bumps");
   std::vector<UAdd> replica_links_;
   std::vector<nsp::ReplicaUpdate> pending_updates_ GUARDED_BY(mu_);
   // Leaf-scoped: requests mutate the db under it and reply outside. The
@@ -177,7 +188,6 @@ class NameServer {
   std::uint64_t next_uadd_ GUARDED_BY(mu_) = kFirstDynamicUAdd;
   std::uint64_t next_seq_ GUARDED_BY(mu_) = 1;
   std::uint64_t epoch_ GUARDED_BY(mu_) = 1;
-  Stats stats_ GUARDED_BY(mu_);
   std::jthread server_;
   bool running_ = false;
 };

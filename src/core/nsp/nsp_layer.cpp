@@ -5,18 +5,6 @@
 namespace ntcs::core {
 
 namespace {
-metrics::Counter& m_cache_hits() {
-  static metrics::Counter& c = metrics::counter("nsp.cache_hits");
-  return c;
-}
-metrics::Counter& m_cache_misses() {
-  static metrics::Counter& c = metrics::counter("nsp.cache_misses");
-  return c;
-}
-metrics::Counter& m_cache_invalidations() {
-  static metrics::Counter& c = metrics::counter("nsp.cache_invalidations");
-  return c;
-}
 /// Live lease-cache size for the health plane; republished (set) after
 /// every mutation while lease_mu_ is still held, so it cannot drift. No
 /// `.bound` sibling: the cache is capped by the namespace, not a queue
@@ -28,11 +16,13 @@ void publish_lease_cache(std::size_t n) {
 }  // namespace
 
 NspLayer::NspLayer(LcmLayer& lcm, std::shared_ptr<Identity> identity,
+                   metrics::MetricsRegistry& metrics,
                    std::chrono::nanoseconds request_timeout)
     : lcm_(lcm),
       identity_(std::move(identity)),
       timeout_(request_timeout),
-      log_("nsp", identity_->name()) {}
+      log_("nsp", identity_->name()),
+      metrics_(metrics) {}
 
 void NspLayer::configure_shards(const WellKnownTable& wk) {
   ntcs::LockGuard lk(lease_mu_);
@@ -77,12 +67,7 @@ std::vector<UAdd> NspLayer::targets_for_uadd(UAdd uadd) const {
 
 ntcs::Result<RequestTicket> NspLayer::call_async(UAdd target,
                                                  ntcs::Bytes request_body) {
-  static metrics::Counter& m_queries = metrics::counter("nsp.queries");
-  m_queries.inc();
-  {
-    ntcs::LockGuard lk(mu_);
-    ++stats_.queries;
-  }
+  queries_.inc();
   // Packed-mode characters are representation-free, so the body needs no
   // pack routine; internal = no monitoring/time recursion on NSP traffic.
   SendOptions opts;
@@ -98,10 +83,7 @@ ntcs::Result<ntcs::Bytes> NspLayer::await_call(
       ticket ? lcm_.await(ticket.value())
              : ntcs::Result<Reply>(ticket.error());
   if (!reply) {
-    static metrics::Counter& m_failures = metrics::counter("nsp.failures");
-    m_failures.inc();
-    ntcs::LockGuard lk(mu_);
-    ++stats_.failures;
+    failures_.inc();
     return reply.error();
   }
   return std::move(reply.value().payload);
@@ -165,8 +147,7 @@ void NspLayer::note_epoch_locked(std::size_t shard, std::uint64_t epoch) {
   for (auto it = lease_cache_.begin(); it != lease_cache_.end();) {
     if (it->second.shard == shard && it->second.epoch < epoch) {
       it = lease_cache_.erase(it);
-      m_cache_invalidations().inc();
-      ++lease_stats_.lease_invalidations;
+      cache_invalidations_.inc();
     } else {
       ++it;
     }
@@ -204,12 +185,10 @@ ntcs::Result<UAdd> NspLayer::lookup(const std::string& name) {
         std::chrono::steady_clock::now() < it->second.expiry &&
         it->second.shard < shard_epochs_.size() &&
         it->second.epoch == shard_epochs_[it->second.shard]) {
-      m_cache_hits().inc();
-      ++lease_stats_.lease_hits;
+      cache_hits_.inc();
       return it->second.uadd;
     }
-    m_cache_misses().inc();
-    ++lease_stats_.lease_misses;
+    cache_misses_.inc();
   }
   auto body = call(target_for_name(name), nsp::encode_lookup(name));
   if (!body) return body.error();
@@ -227,12 +206,10 @@ std::vector<ntcs::Result<UAdd>> NspLayer::lookup_many(
       if (it != lease_cache_.end() && now < it->second.expiry &&
           it->second.shard < shard_epochs_.size() &&
           it->second.epoch == shard_epochs_[it->second.shard]) {
-        m_cache_hits().inc();
-        ++lease_stats_.lease_hits;
+        cache_hits_.inc();
         done[i] = ntcs::Result<UAdd>(it->second.uadd);
       } else {
-        m_cache_misses().inc();
-        ++lease_stats_.lease_misses;
+        cache_misses_.inc();
       }
     }
   }
@@ -357,8 +334,7 @@ ntcs::Result<UAdd> NspLayer::forward(UAdd old_uadd) {
     for (auto it = lease_cache_.begin(); it != lease_cache_.end();) {
       if (it->second.uadd == old_uadd) {
         it = lease_cache_.erase(it);
-        m_cache_invalidations().inc();
-        ++lease_stats_.lease_invalidations;
+        cache_invalidations_.inc();
       } else {
         ++it;
       }
@@ -369,22 +345,6 @@ ntcs::Result<UAdd> NspLayer::forward(UAdd old_uadd) {
                            nsp::encode_forward(old_uadd));
   if (!body) return body.error();
   return nsp::decode_uadd_response(body.value());
-}
-
-NspLayer::Stats NspLayer::stats() const {
-  Stats out;
-  {
-    ntcs::LockGuard lk(mu_);
-    out = stats_;
-  }
-  {
-    // kNspState(200) -> kNspLease(205): increasing rank, legal.
-    ntcs::LockGuard lk(lease_mu_);
-    out.lease_hits = lease_stats_.lease_hits;
-    out.lease_misses = lease_stats_.lease_misses;
-    out.lease_invalidations = lease_stats_.lease_invalidations;
-  }
-  return out;
 }
 
 std::optional<NspLayer::LeaseView> NspLayer::lease_peek(

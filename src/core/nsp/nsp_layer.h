@@ -29,6 +29,7 @@
 #include "common/annotated.h"
 #include "common/error.h"
 #include "common/log.h"
+#include "common/metrics.h"
 #include "convert/machine.h"
 #include "core/lcm/lcm_layer.h"
 #include "core/nsp/protocol.h"
@@ -59,7 +60,9 @@ struct RegistrationInfo {
 
 class NspLayer : public Resolver {
  public:
+  /// Counters go to `metrics`, the owning module's scope.
   NspLayer(LcmLayer& lcm, std::shared_ptr<Identity> identity,
+           metrics::MetricsRegistry& metrics,
            std::chrono::nanoseconds request_timeout =
                std::chrono::seconds(5));
 
@@ -109,15 +112,6 @@ class NspLayer : public Resolver {
   /// acting on a stale lease self-corrects on its very next attempt.
   ntcs::Result<UAdd> forward(UAdd old_uadd) override;
 
-  struct Stats {
-    std::uint64_t queries = 0;
-    std::uint64_t failures = 0;
-    std::uint64_t lease_hits = 0;
-    std::uint64_t lease_misses = 0;
-    std::uint64_t lease_invalidations = 0;
-  };
-  Stats stats() const;
-
   /// Test introspection: the cached lease for a name, if any (fresh or
   /// not), and a hook that retires a lease to exactly "now" so the TTL
   /// boundary (valid strictly before expiry) is testable without sleeping.
@@ -165,19 +159,25 @@ class NspLayer : public Resolver {
   std::shared_ptr<Identity> identity_;
   std::chrono::nanoseconds timeout_;
   ntcs::LayerLog log_;
-  mutable ntcs::Mutex mu_{ntcs::lockrank::kNspState, "nsp.state"};
-  Stats stats_ GUARDED_BY(mu_);
+  metrics::MetricsRegistry& metrics_;
+  metrics::Counter& queries_ = metrics_.counter("nsp.queries");
+  metrics::Counter& failures_ = metrics_.counter("nsp.failures");
+  // The lease cache: lookup()/lookup_many() hits and misses, and leases
+  // purged by an epoch move or an address fault.
+  metrics::Counter& cache_hits_ = metrics_.counter("nsp.cache_hits");
+  metrics::Counter& cache_misses_ = metrics_.counter("nsp.cache_misses");
+  metrics::Counter& cache_invalidations_ =
+      metrics_.counter("nsp.cache_invalidations");
   // Lease-cache state. CONTRACT (PR 4 shape): lease_mu_ is leaf-scoped —
   // check under it, RELEASE, then issue the LCM request, re-lock to
-  // insert. Holding it across call()/call_async()/await_call() would
-  // invert the kNspLease(205) -> kNspState(200) rank the moment the call
-  // path touches stats_, and the runtime validator flags it.
+  // insert. Holding it across call()/call_async()/await_call() would park
+  // every lookup of this module behind a round trip, and an address fault
+  // on that request re-enters forward() — and lease_mu_ — on the same
+  // thread, which the runtime validator flags.
   mutable ntcs::Mutex lease_mu_{ntcs::lockrank::kNspLease, "nsp.lease"};
   nsp::ShardMap shard_map_ GUARDED_BY(lease_mu_);
   std::unordered_map<std::string, Lease> lease_cache_ GUARDED_BY(lease_mu_);
   std::vector<std::uint64_t> shard_epochs_ GUARDED_BY(lease_mu_);
-  // Only the lease_* fields are used; stats() merges them into stats_.
-  Stats lease_stats_ GUARDED_BY(lease_mu_);
 };
 
 }  // namespace ntcs::core

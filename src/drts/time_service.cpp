@@ -44,8 +44,6 @@ void TimeServer::serve(const std::stop_token& st) {
     convert::Packer p;
     p.put_i64(node_->now().count());
     served_.fetch_add(1);
-    core::SendOptions opts;
-    opts.internal = true;
     (void)node_->lcm().reply(in.value().reply_ctx,
                              core::Payload::raw(std::move(p).take()));
   }

@@ -8,25 +8,6 @@
 
 namespace ntcs::simnet {
 
-namespace {
-// Resolved once: these fire per faulted frame *under the fabric core
-// lock*, so a registry map lookup (and the registry mutex) per event was
-// both hot-path overhead and a gratuitous lock acquisition beneath mu_.
-// After first touch the shims are a plain relaxed atomic add.
-metrics::Counter& m_dup() {
-  static metrics::Counter& c = metrics::counter("simnet.dup");
-  return c;
-}
-metrics::Counter& m_reordered() {
-  static metrics::Counter& c = metrics::counter("simnet.reordered");
-  return c;
-}
-metrics::Counter& m_flaps() {
-  static metrics::Counter& c = metrics::counter("simnet.flaps");
-  return c;
-}
-}  // namespace
-
 Fabric::Fabric(std::uint64_t seed) : rng_(seed) {}
 
 Fabric::~Fabric() {
@@ -166,8 +147,7 @@ bool Fabric::flap_down_locked(NetworkId n,
   const auto phase = (now - ns.flap_epoch) % fp.flap_period;
   const bool down = phase < fp.flap_down;
   if (down && !ns.flap_was_down) {
-    ++stats_.link_flaps;
-    m_flaps().inc();
+    link_flaps_.inc();
   }
   ns.flap_was_down = down;
   return down;
@@ -195,7 +175,7 @@ ntcs::Status Fabric::kill_channel(ChannelId chan) {
     at_a = std::max(now, it->second.floor_to_a);
     at_b = std::max(now, it->second.floor_to_b);
     channels_.erase(it);
-    ++stats_.channels_closed;
+    channels_closed_.inc();
     s1 = next_seq_++;
     s2 = next_seq_++;
   }
@@ -235,11 +215,6 @@ bool Fabric::probe(std::string_view phys) const {
   ntcs::LockGuard lk(mu_);
   auto it = bound_.find(std::string(phys));
   return it != bound_.end() && !it->second.expired();
-}
-
-Fabric::Stats Fabric::stats() const {
-  ntcs::LockGuard lk(mu_);
-  return stats_;
 }
 
 ntcs::Result<NetworkId> Fabric::shared_network_locked(MachineId a,
@@ -282,19 +257,19 @@ ntcs::Result<ChannelId> Fabric::connect_impl(Endpoint* src,
     ntcs::LockGuard lk(mu_);
     auto parts = parse_phys(dst_phys);
     if (!parts) {
-      ++stats_.connects_failed;
+      connects_failed_.inc();
       return ntcs::Error(ntcs::Errc::bad_argument,
                          "malformed physical address: " + dst_phys);
     }
     if (parts->kind != src->kind()) {
-      ++stats_.connects_failed;
+      connects_failed_.inc();
       return ntcs::Error(ntcs::Errc::unsupported,
                          "cannot connect across IPCS kinds");
     }
     auto it = bound_.find(dst_phys);
     if (it != bound_.end()) dst = it->second.lock();
     if (!dst) {
-      ++stats_.connects_failed;
+      connects_failed_.inc();
       // The two IPCSs report an unbound destination differently; the
       // ND-Layer normalises both to an address fault.
       if (src->kind() == IpcsKind::tcp) {
@@ -308,7 +283,7 @@ ntcs::Result<ChannelId> Fabric::connect_impl(Endpoint* src,
     if (dst->machine() != src->machine()) {
       auto shared = shared_network_locked(src->machine(), dst->machine());
       if (!shared) {
-        ++stats_.connects_failed;
+        connects_failed_.inc();
         return shared.error();
       }
       net = shared.value();
@@ -317,7 +292,7 @@ ntcs::Result<ChannelId> Fabric::connect_impl(Endpoint* src,
       // A flapping link swallows the connection attempt; unlike a
       // partition (an error the layers treat as lasting), the caller sees
       // the transient face of failure and should retry with backoff.
-      ++stats_.connects_failed;
+      connects_failed_.inc();
       return ntcs::Error(ntcs::Errc::timeout,
                          "link down (flapping): " + dst_phys);
     }
@@ -332,7 +307,7 @@ ntcs::Result<ChannelId> Fabric::connect_impl(Endpoint* src,
     st.floor_to_b = deliver_at;
     channels_[chan] = st;
     seq = next_seq_++;
-    ++stats_.connects_ok;
+    connects_ok_.inc();
   }
   dst->enqueue({deliver_at, seq,
                 Delivery{DeliveryKind::opened, chan, {}, src->phys()}});
@@ -366,19 +341,19 @@ ntcs::Status Fabric::send_impl(Endpoint* src, ChannelId chan,
     if (st.net != kInvalidNetwork && nets_.at(st.net).partitioned) {
       return ntcs::Status(ntcs::Errc::partitioned, "network partitioned");
     }
-    ++stats_.frames_sent;
-    stats_.bytes_sent += payload.size();
+    frames_sent_.inc();
+    bytes_sent_.inc(payload.size());
     const auto now = std::chrono::steady_clock::now();
     if (flap_down_locked(st.net, now)) {
       // A down link loses frames without telling the sender — exactly the
       // "simply passed upward" failure class the layers must ride out.
-      ++stats_.frames_dropped;
-      ++stats_.flap_dropped;
+      frames_dropped_.inc();
+      flap_dropped_.inc();
       return ntcs::Status::success();
     }
     if (st.net != kInvalidNetwork &&
         rng_.chance(nets_.at(st.net).cfg.loss_prob)) {
-      ++stats_.frames_dropped;
+      frames_dropped_.inc();
       return ntcs::Status::success();  // silently lost on the wire
     }
     const bool to_b = (it->second.a == src);
@@ -396,7 +371,7 @@ ntcs::Status Fabric::send_impl(Endpoint* src, ChannelId chan,
         rng_.chance(fp->corrupt_prob)) {
       payload[rng_.next_below(payload.size())] ^=
           static_cast<std::uint8_t>(1 + rng_.next_below(255));
-      ++stats_.frames_corrupted;
+      frames_corrupted_.inc();
     }
     auto& floor = to_b ? st.floor_to_b : st.floor_to_a;
     deliver_at = now + sample_latency_locked(st.net);
@@ -422,8 +397,7 @@ ntcs::Status Fabric::send_impl(Endpoint* src, ChannelId chan,
               1, static_cast<std::uint64_t>(fp->reorder_window.count()));
       floor = deliver_at;
       deliver_at += std::chrono::nanoseconds(1 + rng_.next_below(window));
-      ++stats_.frames_reordered;
-      m_reordered().inc();
+      frames_reordered_.inc();
     } else {
       floor = deliver_at;
     }
@@ -436,8 +410,7 @@ ntcs::Status Fabric::send_impl(Endpoint* src, ChannelId chan,
               1, static_cast<std::uint64_t>(fp->reorder_window.count()));
       dup_at = deliver_at + std::chrono::nanoseconds(1 + rng_.next_below(window));
       dup_seq = next_seq_++;
-      ++stats_.frames_duplicated;
-      m_dup().inc();
+      frames_duplicated_.inc();
     }
   }
   if (dup_at) {
@@ -471,7 +444,7 @@ ntcs::Status Fabric::close_channel_impl(Endpoint* src, ChannelId chan) {
     if (deliver_at < floor) deliver_at = floor;
     channels_.erase(it);
     seq = next_seq_++;
-    ++stats_.channels_closed;
+    channels_closed_.inc();
   }
   if (peer) {
     peer->enqueue(
@@ -508,7 +481,7 @@ void Fabric::close_endpoint(Endpoint* ep) {
         if (peer && peer.get() != ep) {
           notes.push_back({std::move(peer), cit->first, at, next_seq_++});
         }
-        ++stats_.channels_closed;
+        channels_closed_.inc();
         cit = channels_.erase(cit);
       } else {
         ++cit;

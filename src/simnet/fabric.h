@@ -20,6 +20,7 @@
 
 #include "common/annotated.h"
 #include "common/error.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "convert/machine.h"
 #include "simnet/endpoint.h"
@@ -86,21 +87,9 @@ class Fabric {
   bool probe(std::string_view phys) const;
 
   // --- statistics -----------------------------------------------------------
-  struct Stats {
-    std::uint64_t frames_sent = 0;
-    std::uint64_t frames_dropped = 0;
-    std::uint64_t bytes_sent = 0;
-    std::uint64_t connects_ok = 0;
-    std::uint64_t connects_failed = 0;
-    std::uint64_t channels_closed = 0;
-    // Fault-injection counters (FaultPlan).
-    std::uint64_t frames_duplicated = 0;
-    std::uint64_t frames_reordered = 0;
-    std::uint64_t frames_corrupted = 0;
-    std::uint64_t flap_dropped = 0;  // data frames lost to a down link
-    std::uint64_t link_flaps = 0;    // up -> down transitions observed
-  };
-  Stats stats() const;
+  /// The fabric's counters (simnet.frames_sent, simnet.dup, ...): a scope
+  /// of its own, since the fabric belongs to no single module.
+  metrics::MetricsRegistry& metrics() { return metrics_; }
 
  private:
   friend class Endpoint;
@@ -152,6 +141,27 @@ class Fabric {
   bool flap_down_locked(NetworkId n, std::chrono::steady_clock::time_point now)
       REQUIRES(mu_);
 
+  // Declared first: endpoints bump these until the fabric is gone.
+  metrics::MetricsRegistry metrics_{metrics::MetricsRegistry::instance()};
+  metrics::Counter& frames_sent_ = metrics_.counter("simnet.frames_sent");
+  // Data frames lost on the wire: to the loss rate or a down link.
+  metrics::Counter& frames_dropped_ = metrics_.counter("simnet.frames_dropped");
+  metrics::Counter& bytes_sent_ = metrics_.counter("simnet.bytes_sent");
+  metrics::Counter& connects_ok_ = metrics_.counter("simnet.connects_ok");
+  metrics::Counter& connects_failed_ =
+      metrics_.counter("simnet.connects_failed");
+  metrics::Counter& channels_closed_ =
+      metrics_.counter("simnet.channels_closed");
+  // Fault-injection counters (FaultPlan).
+  metrics::Counter& frames_duplicated_ = metrics_.counter("simnet.dup");
+  metrics::Counter& frames_reordered_ = metrics_.counter("simnet.reordered");
+  metrics::Counter& frames_corrupted_ =
+      metrics_.counter("simnet.frames_corrupted");
+  // Data frames lost to a down link.
+  metrics::Counter& flap_dropped_ = metrics_.counter("simnet.flap_dropped");
+  // Up -> down transitions observed.
+  metrics::Counter& link_flaps_ = metrics_.counter("simnet.flaps");
+
   // Bottom of the layer hierarchy: reached with ND-Layer locks held
   // (open/send paths) and never held across Endpoint::enqueue — every
   // delivery is enqueued after this lock is released, which is what keeps
@@ -167,7 +177,6 @@ class Fabric {
   ChannelId next_chan_ GUARDED_BY(mu_) = 1;
   std::uint64_t next_seq_ GUARDED_BY(mu_) = 1;
   std::uint16_t next_port_ GUARDED_BY(mu_) = 5000;
-  Stats stats_ GUARDED_BY(mu_);
 };
 
 }  // namespace ntcs::simnet

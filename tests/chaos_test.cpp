@@ -18,6 +18,7 @@
 
 #include "common/metrics.h"
 #include "core/testbed.h"
+#include "scope_counters.h"
 
 namespace ntcs::core {
 namespace {
@@ -119,8 +120,8 @@ TEST(Chaos, DuplicationNeverReachesTheApplication) {
   auto got = drain(*rig.b);
   ASSERT_EQ(got.size(), static_cast<std::size_t>(kMsgs));
   for (int i = 0; i < kMsgs; ++i) EXPECT_EQ(got[i], std::to_string(i));
-  EXPECT_GT(rig.tb.fabric().stats().frames_duplicated, 0u);
-  EXPECT_GT(rig.b->nd().stats().frames_deduped, 0u);
+  EXPECT_GT(counter_value(rig.tb.fabric().metrics(), "simnet.dup"), 0u);
+  EXPECT_GT(counter_value(rig.b->metrics(), "nd.frames_deduped"), 0u);
 }
 
 TEST(Chaos, DuplicationOfFragmentedMessages) {
@@ -154,7 +155,7 @@ TEST(Chaos, DuplicationOfFragmentedMessages) {
     ++seen;
   }
   EXPECT_EQ(seen, kMsgs);
-  EXPECT_GT(rig.b->nd().stats().frames_deduped, 0u);
+  EXPECT_GT(counter_value(rig.b->metrics(), "nd.frames_deduped"), 0u);
 }
 
 TEST(Chaos, ReorderingIsHiddenAboveTheStdIf) {
@@ -187,7 +188,7 @@ TEST(Chaos, ReorderingIsHiddenAboveTheStdIf) {
   // "failures are simply passed upward") but not more than the tail it
   // displaced.
   EXPECT_GE(got.size(), static_cast<std::size_t>(kMsgs) / 2);
-  EXPECT_GT(rig.tb.fabric().stats().frames_reordered, 0u);
+  EXPECT_GT(counter_value(rig.tb.fabric().metrics(), "simnet.reordered"), 0u);
 }
 
 TEST(Chaos, FlappingGatewayLinkCircuitEventuallyEstablishes) {
@@ -198,7 +199,7 @@ TEST(Chaos, FlappingGatewayLinkCircuitEventuallyEstablishes) {
   auto addr = rig.a->commod().locate("b");
   ASSERT_TRUE(addr.ok());
 
-  const auto retries_before = metrics::counter("nd.open_retries").value();
+  const auto retries_before = process_counter_value("nd.open_retries");
   simnet::FaultPlan plan;
   plan.flap_period = 40ms;
   plan.flap_down = 10ms;  // the cycle starts in its down phase
@@ -216,10 +217,10 @@ TEST(Chaos, FlappingGatewayLinkCircuitEventuallyEstablishes) {
   }
   EXPECT_TRUE(delivered) << "circuit never established under flapping link";
   const auto retries =
-      metrics::counter("nd.open_retries").value() - retries_before;
+      process_counter_value("nd.open_retries") - retries_before;
   EXPECT_GT(retries, 0u);      // backoff actually engaged...
   EXPECT_LT(retries, 10000u);  // ...and did not grow without bound
-  EXPECT_GT(rig.tb.fabric().stats().link_flaps, 0u);
+  EXPECT_GT(counter_value(rig.tb.fabric().metrics(), "simnet.flaps"), 0u);
 }
 
 TEST(Chaos, CorruptionIsContainedAndTheLinkStaysLive) {
@@ -243,7 +244,8 @@ TEST(Chaos, CorruptionIsContainedAndTheLinkStaysLive) {
   }
   auto got = drain(*rig.b, 200ms);
   EXPECT_LE(got.size(), static_cast<std::size_t>(kMsgs));
-  EXPECT_GT(rig.tb.fabric().stats().frames_corrupted, 0u);
+  EXPECT_GT(counter_value(rig.tb.fabric().metrics(), "simnet.frames_corrupted"),
+            0u);
 
   // Heal: corruption may have scrambled the receiver's notion of the frame
   // sequence, costing up to a stale-window of subsequent messages; a short
@@ -269,7 +271,7 @@ TEST(Chaos, CombinedFaultsAcceptance) {
   // duplicate delivery, monotone ordering at the ALI, circuits established
   // despite the flapping, retry-on-open engaged but bounded.
   GatewayRig rig;
-  const auto retries_before = metrics::counter("nd.open_retries").value();
+  const auto retries_before = process_counter_value("nd.open_retries");
 
   simnet::FaultPlan near_plan;
   near_plan.dup_prob = 0.05;
@@ -296,7 +298,7 @@ TEST(Chaos, CombinedFaultsAcceptance) {
   rig.tb.fabric().set_partitioned(rig.lan_b, true);
   (void)rig.a->commod().send(addr.value(), to_bytes("ping-prime"));
   auto retry_deadline = std::chrono::steady_clock::now() + 5s;
-  while (metrics::counter("nd.open_retries").value() == retries_before &&
+  while (process_counter_value("nd.open_retries") == retries_before &&
          std::chrono::steady_clock::now() < retry_deadline) {
     std::this_thread::sleep_for(1ms);
   }
@@ -339,13 +341,13 @@ TEST(Chaos, CombinedFaultsAcceptance) {
   EXPECT_FALSE(saw_dup) << "duplicate or out-of-order delivery at the ALI";
   EXPECT_GE(received, kMsgs / 3);  // flap loss, not collapse
   const auto retries =
-      metrics::counter("nd.open_retries").value() - retries_before;
+      process_counter_value("nd.open_retries") - retries_before;
   EXPECT_GT(retries, 0u);
   EXPECT_LT(retries, 10000u);
-  const auto fab = rig.tb.fabric().stats();
-  EXPECT_GT(fab.frames_duplicated, 0u);
-  EXPECT_GT(fab.frames_reordered, 0u);
-  EXPECT_GT(fab.link_flaps, 0u);
+  const metrics::Snapshot fab = rig.tb.fabric().metrics().snapshot();
+  EXPECT_GT(counter_value(fab, "simnet.dup"), 0u);
+  EXPECT_GT(counter_value(fab, "simnet.reordered"), 0u);
+  EXPECT_GT(counter_value(fab, "simnet.flaps"), 0u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "drts/monitor.h"
 #include "drts/process_control.h"
 #include "drts/time_service.h"
+#include "scope_counters.h"
 
 namespace ntcs::drts {
 namespace {
@@ -322,7 +323,7 @@ TEST(Recursion, FirstMonitoredSendTriggersNestedCalls) {
   EXPECT_EQ(monitor.sample_count(), 1u);
   EXPECT_GT(time_server.requests_served(), 0u);
   // No recursion-limit trips: the guard exists, the depth stays bounded.
-  EXPECT_EQ(app->lcm().stats().recursion_trips, 0u);
+  EXPECT_EQ(counter_value(app->metrics(), "lcm.recursion_trips"), 0u);
   // The sample's timestamp is in the *time server's* frame.
   auto samples = monitor.samples();
   ASSERT_EQ(samples.size(), 1u);
@@ -380,7 +381,7 @@ TEST(ProcessControl, RelocationIsTransparentToClients) {
   auto reply = client->commod().request(addr, to_bytes("two"), 2s);
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(to_string(reply.value().payload), "echo:two");
-  EXPECT_GE(client->lcm().stats().relocations, 1u);
+  EXPECT_GE(counter_value(client->metrics(), "lcm.relocations"), 1u);
   // And the relocated module really is on the other machine.
   auto* be = dynamic_cast<simnet::SimnetBackend*>(
       &pc.find("svc")->backend());

@@ -7,6 +7,7 @@
 
 #include "core/testbed.h"
 #include "drts/process_control.h"
+#include "scope_counters.h"
 
 namespace ntcs::core {
 namespace {
@@ -38,14 +39,14 @@ TEST(Failure, KilledChannelMidConversationRecovers) {
   EXPECT_GT(killed, 0u);
   std::this_thread::sleep_for(20ms);  // let closed notifications land
 
-  const auto opened_before = a->ip().stats().ivcs_opened;
+  const auto opened_before = counter_value(a->metrics(), "ip.ivcs_opened");
   ASSERT_TRUE(a->commod().send(addr, to_bytes("two")).ok());
   auto in = b->commod().receive(2s);
   ASSERT_TRUE(in.ok());
   EXPECT_EQ(to_string(in.value().payload), "two");
   // The old circuit died and a new one was established for the resend.
-  EXPECT_GE(a->ip().stats().ivcs_closed, 1u);
-  EXPECT_GT(a->ip().stats().ivcs_opened, opened_before);
+  EXPECT_GE(counter_value(a->metrics(), "ip.ivcs_closed"), 1u);
+  EXPECT_GT(counter_value(a->metrics(), "ip.ivcs_opened"), opened_before);
   a->stop();
   b->stop();
 }
@@ -81,8 +82,8 @@ TEST(Failure, ParallelGatewayFailover) {
   // The backup did the relaying.
   std::uint64_t backup_relayed = 0;
   for (std::size_t i = 0; i < tb.gateway(1).attachment_count(); ++i) {
-    backup_relayed +=
-        tb.gateway(1).attachment(i).ip().stats().messages_relayed;
+    backup_relayed += counter_value(tb.gateway(1).attachment(i).metrics(),
+                                    "ip.messages_relayed");
   }
   EXPECT_GT(backup_relayed, 0u);
   a->stop();
@@ -200,7 +201,7 @@ TEST(Failure, LossyNetworkLosesDataNotSanity) {
   while (b->commod().receive(100ms).ok()) ++received;
   EXPECT_LT(received, kSent);  // some frames really were lost
   EXPECT_GT(received, 0);      // and some got through
-  EXPECT_GT(tb.fabric().stats().frames_dropped, 0u);
+  EXPECT_GT(counter_value(tb.fabric().metrics(), "simnet.frames_dropped"), 0u);
   a->stop();
   b->stop();
 }
@@ -244,7 +245,7 @@ TEST(Failure, LostFragmentCorruptsOneMessageThenHeals) {
   auto healed = b->commod().receive(2s);
   ASSERT_TRUE(healed.ok());
   EXPECT_EQ(healed.value().payload, big);
-  EXPECT_GT(tb.fabric().stats().frames_dropped, 0u);
+  EXPECT_GT(counter_value(tb.fabric().metrics(), "simnet.frames_dropped"), 0u);
   a->stop();
   b->stop();
 }

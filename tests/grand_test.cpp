@@ -16,6 +16,7 @@
 #include "drts/time_service.h"
 #include "ursa/query.h"
 #include "ursa/servers.h"
+#include "scope_counters.h"
 
 namespace ntcs::core {
 namespace {
@@ -119,7 +120,7 @@ TEST(GrandIntegration, FullSystemEndToEnd) {
   }
   EXPECT_GT(monitor.sample_count(), 0u);
   EXPECT_FALSE(monitor.report().empty());
-  EXPECT_EQ(host->lcm().stats().recursion_trips, 0u);
+  EXPECT_EQ(counter_value(host->metrics(), "lcm.recursion_trips"), 0u);
 
   host->stop();
 }

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "core/testbed.h"
+#include "scope_counters.h"
 
 namespace ntcs::core {
 namespace {
@@ -120,8 +121,8 @@ TEST_P(SingleLanTest, TAddsPurgedAfterRegistration) {
   // Name-Server side must have promoted it by now (within two exchanges,
   // §3.4). One extra ping forces the second exchange.
   ASSERT_TRUE(rig.alice->commod().ping_name_server().ok());
-  const auto promoted =
-      rig.tb.name_server().node().lcm().stats().tadds_promoted;
+  const auto promoted = counter_value(rig.tb.name_server().node().metrics(),
+                                      "lcm.tadds_promoted");
   EXPECT_GE(promoted, 1u);
 }
 
@@ -248,7 +249,8 @@ TEST_P(TwoLansTest, GatewayRelaysData) {
   // The relay fast path ran in the gateway's attachment IP-Layers.
   std::uint64_t relayed = 0;
   for (std::size_t i = 0; i < rig.tb.gateway(0).attachment_count(); ++i) {
-    relayed += rig.tb.gateway(0).attachment(i).ip().stats().messages_relayed;
+    relayed += counter_value(rig.tb.gateway(0).attachment(i).metrics(),
+                             "ip.messages_relayed");
   }
   EXPECT_GT(relayed, 0u);
 }
@@ -417,7 +419,7 @@ TEST_P(ReconfigTest, RelocatedModuleIsFoundTransparently) {
   // The LCM installed a forwarding entry old -> new.
   EXPECT_EQ(rig.alice->lcm().current_target(bob_addr),
             bob2->identity().uadd());
-  EXPECT_GE(rig.alice->lcm().stats().relocations, 1u);
+  EXPECT_GE(counter_value(rig.alice->metrics(), "lcm.relocations"), 1u);
   bob2->stop();
 }
 
@@ -453,7 +455,7 @@ TEST(ReconfigSimnet, NameServerCircuitBreakRecovers) {
   // After healing, the naming service is reachable again.
   EXPECT_TRUE(rig.alice->commod().ping_name_server().ok());
   (void)st;  // during the partition the call may fail — that is fine
-  EXPECT_EQ(rig.alice->lcm().stats().recursion_trips, 0u);
+  EXPECT_EQ(counter_value(rig.alice->metrics(), "lcm.recursion_trips"), 0u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "core/testbed.h"
+#include "scope_counters.h"
 
 namespace ntcs::core {
 namespace {
@@ -142,13 +143,13 @@ TEST(IpRoute, TopologyCacheInvalidationRefreshes) {
   auto b = tb.spawn_module("b", "mb", "net-b").value();
   ResolvedDest dst{b->identity().uadd(), b->phys(), "net-b"};
   ASSERT_TRUE(a->ip().compute_route(dst).ok());
-  const auto fetches1 = a->ip().stats().topology_fetches;
+  const auto fetches1 = counter_value(a->metrics(), "ip.topology_fetches");
   // Cached: recomputing does not refetch.
   ASSERT_TRUE(a->ip().compute_route(dst).ok());
-  EXPECT_EQ(a->ip().stats().topology_fetches, fetches1);
+  EXPECT_EQ(counter_value(a->metrics(), "ip.topology_fetches"), fetches1);
   a->ip().invalidate_topology();
   ASSERT_TRUE(a->ip().compute_route(dst).ok());
-  EXPECT_EQ(a->ip().stats().topology_fetches, fetches1 + 1);
+  EXPECT_EQ(counter_value(a->metrics(), "ip.topology_fetches"), fetches1 + 1);
   a->stop();
   b->stop();
 }
@@ -171,13 +172,13 @@ TEST(GatewayChain, MiddleGatewayDeathCascadesTeardown) {
   auto addr = a->commod().locate("c").value();
   ASSERT_TRUE(a->commod().send(addr, to_bytes("before")).ok());
   ASSERT_TRUE(c->commod().receive(2s).ok());
-  const auto closed_before = a->ip().stats().ivcs_closed;
+  const auto closed_before = counter_value(a->metrics(), "ip.ivcs_closed");
 
   tb.gateway(1).stop();  // kill gw-23, the n2/n3 bridge
   // a's circuit must observe the cascade (ivc_closed at the originator).
   bool observed = false;
   for (int spin = 0; spin < 100; ++spin) {
-    if (a->ip().stats().ivcs_closed > closed_before) {
+    if (counter_value(a->metrics(), "ip.ivcs_closed") > closed_before) {
       observed = true;
       break;
     }
@@ -230,8 +231,8 @@ TEST(GatewayChain, GatewayStatsCountExtends) {
   ASSERT_TRUE(
       a->commod().send(b->identity().uadd(), to_bytes("x")).ok());
   ASSERT_TRUE(b->commod().receive(2s).ok());
-  EXPECT_GE(tb.gateway(0).stats().extends_handled, 1u);
-  EXPECT_EQ(tb.gateway(0).stats().extends_failed, 0u);
+  EXPECT_GE(counter_value(tb.gateway(0).metrics(), "gw.extends_handled"), 1u);
+  EXPECT_EQ(counter_value(tb.gateway(0).metrics(), "gw.extends_failed"), 0u);
   a->stop();
   b->stop();
 }

@@ -10,6 +10,7 @@
 
 #include "core/testbed.h"
 #include "simnet/backend.h"
+#include "scope_counters.h"
 
 namespace ntcs::core {
 namespace {
@@ -166,7 +167,7 @@ TEST(LcmLayer, ForwardingChainCompresses) {
   ASSERT_TRUE(in.ok());
   EXPECT_EQ(to_string(in.value().payload), "g3");
   EXPECT_EQ(rig.a->lcm().current_target(gen1), gen3->identity().uadd());
-  EXPECT_GE(rig.a->lcm().stats().relocations, 2u);
+  EXPECT_GE(counter_value(rig.a->metrics(), "lcm.relocations"), 2u);
   gen2.reset();
   gen3->stop();
   rig.b.reset();
@@ -208,9 +209,9 @@ TEST(LcmLayer, InboundCircuitReusedForReplyTraffic) {
   ASSERT_TRUE(rig.b->commod().send(a_addr, to_bytes("hi a")).ok());
   auto in = rig.a->commod().receive(1s);
   ASSERT_TRUE(in.ok());
-  const auto opened_before = rig.a->ip().stats().ivcs_opened;
+  const auto opened_before = counter_value(rig.a->metrics(), "ip.ivcs_opened");
   ASSERT_TRUE(rig.a->commod().send(in.value().src, to_bytes("hi b")).ok());
-  EXPECT_EQ(rig.a->ip().stats().ivcs_opened, opened_before);
+  EXPECT_EQ(counter_value(rig.a->metrics(), "ip.ivcs_opened"), opened_before);
   auto back = rig.b->commod().receive(1s);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(to_string(back.value().payload), "hi b");
@@ -230,7 +231,7 @@ TEST(LcmLayer, RecursionGuardTripsWhenBugReproduced) {
   rig.tb.name_server().stop();  // circuit to NS is now permanently dead
   auto st = rig.a->commod().ping_name_server();
   EXPECT_FALSE(st.ok());
-  EXPECT_GE(rig.a->lcm().stats().recursion_trips, 1u);
+  EXPECT_GE(counter_value(rig.a->metrics(), "lcm.recursion_trips"), 1u);
 }
 
 TEST(LcmLayer, PatchedFaultHandlerRecoversNameServerCircuit) {
@@ -245,7 +246,7 @@ TEST(LcmLayer, PatchedFaultHandlerRecoversNameServerCircuit) {
   (void)rig.a->commod().ping_name_server();  // faults
   rig.tb.fabric().set_partitioned(lan, false);
   EXPECT_TRUE(rig.a->commod().ping_name_server().ok());
-  EXPECT_EQ(rig.a->lcm().stats().recursion_trips, 0u);
+  EXPECT_EQ(counter_value(rig.a->metrics(), "lcm.recursion_trips"), 0u);
 }
 
 TEST(LcmLayer, InternalFlagVisibleToReceiver) {
@@ -285,10 +286,11 @@ TEST(LcmLayer, StatsAccumulate) {
   auto addr = rig.a->commod().locate("b").value();
   ASSERT_TRUE(rig.a->commod().send(addr, to_bytes("1")).ok());
   ASSERT_TRUE(rig.a->commod().dgram(addr, to_bytes("2")).ok());
-  const auto s = rig.a->lcm().stats();
-  EXPECT_GE(s.sends, 1u);
-  EXPECT_GE(s.dgrams, 1u);
-  EXPECT_GE(s.requests, 1u);  // the NSP lookups were requests
+  const metrics::Snapshot s = rig.a->metrics().snapshot();
+  EXPECT_GE(counter_value(s, "lcm.sends"), 1u);
+  EXPECT_GE(counter_value(s, "lcm.dgrams"), 1u);
+  // The NSP lookups were requests: internal ones, which count once, here.
+  EXPECT_GE(counter_value(s, "lcm.internal_sends"), 1u);
 }
 
 TEST(LcmLayer, ConcurrentRequestersMultiplexOneCircuit) {

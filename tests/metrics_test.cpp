@@ -1,14 +1,18 @@
 // Tests for the per-layer metrics registry (common/metrics.h): counter and
-// histogram semantics, snapshot/delta arithmetic, thread safety, and the
-// end-to-end claims — a 2-hop send bumps ip.hops_forwarded on each gateway
-// it traverses, and killed-channel recovery is exactly one lcm.reconnect.
+// histogram semantics, snapshot/delta arithmetic, thread safety, per-node
+// scopes (disjoint per module, summed and folded into the process root),
+// and the end-to-end claims — a 2-hop send bumps ip.hops_forwarded on each
+// gateway it traverses, and killed-channel recovery is exactly one
+// lcm.reconnect.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
 #include "common/metrics.h"
 #include "core/testbed.h"
+#include "scope_counters.h"
 
 namespace ntcs::core {
 namespace {
@@ -239,6 +243,153 @@ TEST(Metrics, KilledChannelRecoveryIsExactlyOneReconnect) {
   EXPECT_EQ(d.value("lcm.reconnects"), 1u);
   a->stop();
   b->stop();
+}
+
+// ----------------------------------------------------------------- scopes
+
+TEST(MetricsScope, RootSumsLiveScopesAndKeepsWhatTheyFold) {
+  metrics::MetricsRegistry root;
+  root.counter("layer.events").inc(1);
+  root.histogram("layer.lat_ns").record(std::uint64_t{5});
+  {
+    metrics::MetricsRegistry a(root);
+    metrics::MetricsRegistry b(root);
+    // A scope's counters exist, at 0, from the lookup on.
+    metrics::Counter& a_events = a.counter("layer.events");
+    EXPECT_NE(a.snapshot().find("layer.events"), nullptr);
+    EXPECT_EQ(a.snapshot().value("layer.events"), 0u);
+    a_events.inc(10);
+    b.counter("layer.events").inc(100);
+    b.counter("layer.scoped_only").inc(7);
+
+    // The root reports its own value plus every live scope's, name by
+    // name; each scope reports only its own.
+    const metrics::Snapshot r = root.snapshot();
+    EXPECT_EQ(r.value("layer.events"), 1u + 10u + 100u);
+    EXPECT_EQ(r.value("layer.scoped_only"), 7u);
+    const metrics::MetricValue* lat = r.find("layer.lat_ns");
+    ASSERT_NE(lat, nullptr);
+    EXPECT_EQ(lat->count, 1u);
+    EXPECT_EQ(a.snapshot().value("layer.events"), 10u);
+    EXPECT_EQ(b.snapshot().value("layer.events"), 100u);
+    EXPECT_EQ(a.snapshot().find("layer.scoped_only"), nullptr);
+    EXPECT_EQ(a.snapshot().find("layer.lat_ns"), nullptr);
+  }
+  // Destroyed scopes folded into the root's own counters: same totals.
+  const metrics::Snapshot r = root.snapshot();
+  EXPECT_EQ(r.value("layer.events"), 111u);
+  EXPECT_EQ(r.value("layer.scoped_only"), 7u);
+  EXPECT_EQ(root.counter("layer.events").value(), 111u);
+}
+
+/// Two modules on one LAN, `a` requesting from `b`'s echo loop.
+struct ScopeRig {
+  Testbed tb;
+  std::unique_ptr<Node> a;
+  std::unique_ptr<Node> b;
+  UAdd b_addr;
+
+  ScopeRig() {
+    tb.net("lan");
+    tb.machine("m1", Arch::vax780, {"lan"});
+    tb.machine("m2", Arch::sun3, {"lan"});
+    EXPECT_TRUE(tb.start_name_server("m1", "lan").ok());
+    EXPECT_TRUE(tb.finalize().ok());
+    a = tb.spawn_module("a", "m1", "lan").value();
+    b = tb.spawn_module("b", "m2", "lan").value();
+    b_addr = a->commod().locate("b").value();
+  }
+
+  /// `n` requests from a, each answered by b.
+  void exchange(int n) {
+    std::jthread echo([this, n] {
+      for (int served = 0; served < n;) {
+        auto in = b->commod().receive(2s);
+        if (!in.ok()) return;
+        if (!in.value().is_request) continue;
+        (void)b->commod().reply(in.value().reply_ctx, in.value().payload);
+        ++served;
+      }
+    });
+    for (int i = 0; i < n; ++i) {
+      auto r = a->commod().request(b_addr, to_bytes("ping"), 2s);
+      EXPECT_TRUE(r.ok());
+    }
+  }
+};
+
+TEST(MetricsScope, TwoNodesCountOnlyTheirOwnTraffic) {
+  ScopeRig rig;
+  ASSERT_NE(&rig.a->metrics(), &rig.b->metrics());
+  const metrics::Snapshot a0 = rig.a->metrics().snapshot();
+  const metrics::Snapshot b0 = rig.b->metrics().snapshot();
+  constexpr int kRequests = 5;
+  rig.exchange(kRequests);
+  const metrics::Snapshot a = rig.a->metrics().snapshot().delta(a0);
+  const metrics::Snapshot b = rig.b->metrics().snapshot().delta(b0);
+  // The requester counts its requests, the server its receptions, and
+  // neither scope sees the other's.
+  EXPECT_EQ(counter_value(a, "lcm.requests"), std::uint64_t{kRequests});
+  EXPECT_EQ(counter_value(b, "lcm.requests"), 0u);
+  EXPECT_EQ(counter_value(b, "lcm.received"), std::uint64_t{kRequests});
+  EXPECT_EQ(counter_value(a, "lcm.received"), 0u);
+  EXPECT_EQ(counter_value(b, "lcm.replies"), std::uint64_t{kRequests});
+  EXPECT_EQ(counter_value(a, "lcm.replies"), 0u);
+}
+
+TEST(MetricsScope, ProcessTotalsKeepStoppedAndDestroyedNodes) {
+  ScopeRig rig;
+  auto& root = metrics::MetricsRegistry::instance();
+  const std::uint64_t before = root.snapshot().value("lcm.requests");
+  constexpr int kRequests = 3;
+  rig.exchange(kRequests);
+  const std::uint64_t total = root.snapshot().value("lcm.requests");
+  EXPECT_EQ(total - before, std::uint64_t{kRequests});
+  EXPECT_EQ(counter_value(rig.a->metrics(), "lcm.requests"),
+            std::uint64_t{kRequests});
+
+  rig.a->stop();  // the scope outlives stop(): nothing moves
+  EXPECT_EQ(root.snapshot().value("lcm.requests"), total);
+  EXPECT_EQ(counter_value(rig.a->metrics(), "lcm.requests"),
+            std::uint64_t{kRequests});
+
+  rig.a.reset();  // destruction folds the scope into the root
+  EXPECT_EQ(root.snapshot().value("lcm.requests"), total);
+  rig.b->stop();
+}
+
+TEST(MetricsScope, SnapshotsRaceNodeCreationAndDestruction) {
+  Testbed tb;
+  tb.net("lan");
+  tb.machine("m1", Arch::vax780, {"lan"});
+  ASSERT_TRUE(tb.start_name_server("m1", "lan").ok());
+  ASSERT_TRUE(tb.finalize().ok());
+  std::atomic<bool> done{false};
+  std::jthread churn([&] {
+    for (int i = 0; i < 20; ++i) {
+      auto n = tb.spawn_module("churn-" + std::to_string(i), "m1", "lan");
+      EXPECT_TRUE(n.ok());
+      if (!n.ok()) break;
+      (void)n.value()->commod().locate("churn-0");
+      n.value()->stop();
+    }  // each node's scope folds into the root as it goes
+    done = true;
+  });
+  // A fold that lost or double-counted a scope's values would show as a
+  // counter total moving backwards between two snapshots.
+  metrics::Snapshot prev = metrics::MetricsRegistry::instance().snapshot();
+  int snapshots = 0;
+  while (!done.load()) {
+    metrics::Snapshot now = metrics::MetricsRegistry::instance().snapshot();
+    for (const auto& [name, v] : prev.values) {
+      if (v.kind != metrics::MetricKind::counter) continue;
+      EXPECT_GE(now.value(name), v.count) << name;
+    }
+    prev = std::move(now);
+    ++snapshots;
+  }
+  churn.join();
+  EXPECT_GT(snapshots, 0);
 }
 
 }  // namespace

@@ -46,6 +46,7 @@
 #include "common/metrics.h"
 #include "core/nsp/shard_map.h"
 #include "core/testbed.h"
+#include "scope_counters.h"
 
 namespace ntcs::core {
 namespace {
@@ -174,7 +175,8 @@ TEST_P(NamingConformance, LookupsRouteToTheOwningShard) {
 
   std::vector<std::uint64_t> lookups_before;
   for (std::size_t s = 0; s < ShardRig::kShards; ++s) {
-    lookups_before.push_back(rig.tb.shard(s).stats().lookups);
+    lookups_before.push_back(
+        counter_value(rig.tb.shard(s).node().metrics(), "ns.lookups"));
   }
 
   auto client = rig.tb.spawn_module("conf-client", "m1", "lan").value();
@@ -186,7 +188,9 @@ TEST_P(NamingConformance, LookupsRouteToTheOwningShard) {
 
   // Every lookup was served by exactly the shard the ring names as owner.
   for (std::size_t s = 0; s < ShardRig::kShards; ++s) {
-    EXPECT_EQ(rig.tb.shard(s).stats().lookups - lookups_before[s], owned[s])
+    EXPECT_EQ(counter_value(rig.tb.shard(s).node().metrics(), "ns.lookups") -
+                  lookups_before[s],
+              owned[s])
         << "shard " << s;
   }
 
@@ -230,12 +234,13 @@ TEST_P(NamingConformance, StaleShardTopologyGetsRetriableWrongShard) {
   auto stale = std::make_unique<Node>(std::move(cfg));
   ASSERT_TRUE(stale->start().ok());
 
-  const std::uint64_t rejects_before = rig.tb.shard(0).stats().wrong_shard;
+  const metrics::MetricsRegistry& shard0 = rig.tb.shard(0).node().metrics();
+  const std::uint64_t rejects_before = counter_value(shard0, "ns.wrong_shard");
   auto miss = stale->nsp().lookup(name);
   ASSERT_FALSE(miss.ok());
   EXPECT_EQ(miss.code(), ntcs::Errc::wrong_shard);
   EXPECT_TRUE(retriable(miss.code()));
-  EXPECT_GT(rig.tb.shard(0).stats().wrong_shard, rejects_before);
+  EXPECT_GT(counter_value(shard0, "ns.wrong_shard"), rejects_before);
 
   // Recovery: installing the current topology makes the same lookup work.
   stale->install_well_known(rig.tb.well_known());
@@ -254,8 +259,10 @@ TEST_P(NamingConformance, LeasesServeRepeatLookupsLocally) {
 
   const nsp::ShardMap map(ShardRig::kShards);
   const std::size_t owner = map.shard_of("leased-mod");
-  const std::uint64_t server_before = rig.tb.shard(owner).stats().lookups;
-  const auto client_before = client->nsp().stats();
+  const metrics::MetricsRegistry& server =
+      rig.tb.shard(owner).node().metrics();
+  const std::uint64_t server_before = counter_value(server, "ns.lookups");
+  const metrics::Snapshot client_before = client->metrics().snapshot();
 
   constexpr int kRepeats = 25;
   for (int i = 0; i < kRepeats; ++i) {
@@ -264,11 +271,14 @@ TEST_P(NamingConformance, LeasesServeRepeatLookupsLocally) {
     EXPECT_EQ(addr.value(), mod->identity().uadd());
   }
 
-  const auto client_after = client->nsp().stats();
+  const metrics::Snapshot client_after = client->metrics().snapshot();
   // One server round trip; every repeat came out of the lease cache.
-  EXPECT_EQ(rig.tb.shard(owner).stats().lookups - server_before, 1u);
-  EXPECT_EQ(client_after.lease_misses - client_before.lease_misses, 1u);
-  EXPECT_EQ(client_after.lease_hits - client_before.lease_hits,
+  EXPECT_EQ(counter_value(server, "ns.lookups") - server_before, 1u);
+  EXPECT_EQ(counter_value(client_after, "nsp.cache_misses") -
+                counter_value(client_before, "nsp.cache_misses"),
+            1u);
+  EXPECT_EQ(counter_value(client_after, "nsp.cache_hits") -
+                counter_value(client_before, "nsp.cache_hits"),
             static_cast<std::uint64_t>(kRepeats - 1));
 
   auto lease = client->nsp().lease_peek("leased-mod");
@@ -579,12 +589,13 @@ TEST(NamingChaos, PrimaryDeathMidLookupStormFailsOverCleanly) {
   const std::uint64_t invalidations_before = metric("nsp.cache_invalidations");
   std::vector<std::uint64_t> promotions_before;
   for (std::size_t s = 0; s < ShardRig::kShards; ++s) {
-    promotions_before.push_back(rig.tb.shard_standby(s).stats().promotions);
+    promotions_before.push_back(counter_value(
+        rig.tb.shard_standby(s).node().metrics(), "ns.failovers"));
   }
   const std::uint64_t client_invalidations_before =
-      c1->nsp().stats().lease_invalidations +
-      c2->nsp().stats().lease_invalidations +
-      target.node->nsp().stats().lease_invalidations;
+      counter_value(c1->metrics(), "nsp.cache_invalidations") +
+      counter_value(c2->metrics(), "nsp.cache_invalidations") +
+      counter_value(target.node->metrics(), "nsp.cache_invalidations");
 
   // The storm: both clients resolve and query the target in a tight loop.
   // Leases are short (100ms), so the loop keeps crossing the server even
@@ -647,16 +658,17 @@ TEST(NamingChaos, PrimaryDeathMidLookupStormFailsOverCleanly) {
   // dropped.
   std::uint64_t promotions_delta = 0;
   for (std::size_t s = 0; s < ShardRig::kShards; ++s) {
-    promotions_delta +=
-        rig.tb.shard_standby(s).stats().promotions - promotions_before[s];
+    promotions_delta += counter_value(rig.tb.shard_standby(s).node().metrics(),
+                                      "ns.failovers") -
+                        promotions_before[s];
   }
   EXPECT_GE(promotions_delta, 1u);
   EXPECT_EQ(metric("ns.failovers") - failovers_before, promotions_delta);
 
   const std::uint64_t client_invalidations_delta =
-      c1->nsp().stats().lease_invalidations +
-      c2->nsp().stats().lease_invalidations +
-      target.node->nsp().stats().lease_invalidations -
+      counter_value(c1->metrics(), "nsp.cache_invalidations") +
+      counter_value(c2->metrics(), "nsp.cache_invalidations") +
+      counter_value(target.node->metrics(), "nsp.cache_invalidations") -
       client_invalidations_before;
   EXPECT_EQ(metric("nsp.cache_invalidations") - invalidations_before,
             client_invalidations_delta);

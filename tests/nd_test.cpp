@@ -15,6 +15,7 @@
 #include "backend_harness.h"
 #include "common/queue.h"
 #include "core/nd/nd_layer.h"
+#include "scope_counters.h"
 
 namespace ntcs::core {
 namespace {
@@ -36,6 +37,9 @@ Bytes envelope_of(const NdEvent& ev) {
 struct NdRig {
   harness::BackendPair pair;
   std::shared_ptr<Identity> id_a, id_b;
+  // Each layer's counters: a scope per side, as a Node would give it.
+  metrics::MetricsRegistry metrics_a{metrics::MetricsRegistry::instance()};
+  metrics::MetricsRegistry metrics_b{metrics::MetricsRegistry::instance()};
   std::unique_ptr<NdLayer> a, b;
   BlockingQueue<NdEvent> events_a, events_b;
   std::jthread pump_a, pump_b;
@@ -45,8 +49,8 @@ struct NdRig {
       : pair(kind, ipcs) {
     id_a = std::make_shared<Identity>("mod-a", pair.a->arch(), "lan");
     id_b = std::make_shared<Identity>("mod-b", pair.b->arch(), "lan");
-    a = std::make_unique<NdLayer>(*pair.a, "mod-a", id_a, cfg);
-    b = std::make_unique<NdLayer>(*pair.b, "mod-b", id_b, cfg);
+    a = std::make_unique<NdLayer>(*pair.a, "mod-a", id_a, metrics_a, cfg);
+    b = std::make_unique<NdLayer>(*pair.b, "mod-b", id_b, metrics_b, cfg);
     EXPECT_TRUE(a->bind().ok());
     EXPECT_TRUE(b->bind().ok());
     pump_a = start_pump(*a, events_a);
@@ -142,7 +146,7 @@ TEST_P(NdConformance, PromotePeerReplacesTAdd) {
   EXPECT_EQ(peer->uadd, UAdd::permanent(5000));
   // Promotion also installs the phys cache entry.
   EXPECT_EQ(rig.b->cached_phys(UAdd::permanent(5000)), rig.a->local_phys());
-  EXPECT_EQ(rig.b->stats().tadds_promoted, 1u);
+  EXPECT_EQ(counter_value(rig.metrics_b, "nd.tadds_promoted"), 1u);
   // Promoting again (or to a TAdd) is a no-op.
   rig.b->promote_peer(at_b, UAdd::permanent(6000));
   EXPECT_EQ(rig.b->peer(at_b)->uadd, UAdd::permanent(5000));
@@ -194,14 +198,16 @@ TEST_P(NdConformance, RetryOnOpenOutwaitsLateBinder) {
   NdConfig cfg;
   cfg.open_attempts = 40;
   cfg.open_backoff = BackoffPolicy{2ms, 8ms, 2.0, 0.5};
-  NdLayer opener(*lb.opener, "op-late", rig.id_a, cfg);
+  metrics::MetricsRegistry opener_metrics{metrics::MetricsRegistry::instance()};
+  NdLayer opener(*lb.opener, "op-late", rig.id_a, opener_metrics, cfg);
   ASSERT_TRUE(opener.bind().ok());
   BlockingQueue<NdEvent> scratch;
   auto pump_o = NdRig::start_pump(opener, scratch);
 
   auto late_id =
       std::make_shared<Identity>(lb.binder_name, lb.binder->arch(), "lan");
-  NdLayer late(*lb.binder, lb.binder_name, late_id);
+  metrics::MetricsRegistry late_metrics{metrics::MetricsRegistry::instance()};
+  NdLayer late(*lb.binder, lb.binder_name, late_id, late_metrics);
   std::jthread late_pump;
   std::jthread binder([&] {
     std::this_thread::sleep_for(30ms);
@@ -212,7 +218,7 @@ TEST_P(NdConformance, RetryOnOpenOutwaitsLateBinder) {
   });
   auto lvc = opener.open(PhysAddr{lb.known_phys});
   EXPECT_TRUE(lvc.ok());
-  EXPECT_GT(opener.stats().open_retries, 0u);
+  EXPECT_GT(counter_value(opener_metrics, "nd.open_retries"), 0u);
   binder.join();
   late_pump.request_stop();
   pump_o.request_stop();
@@ -225,14 +231,15 @@ TEST_P(NdConformance, OpenToNothingFailsAfterRetries) {
   NdRig rig(GetParam(), cfg);
   auto r = rig.a->open(PhysAddr{rig.pair.unreachable_phys()});
   EXPECT_FALSE(r.ok());
-  EXPECT_EQ(rig.a->stats().open_retries, 2u);
+  EXPECT_EQ(counter_value(rig.metrics_a, "nd.open_retries"), 2u);
 }
 
 TEST_P(NdConformance, MalformedAddressFailsFast) {
   NdRig rig(GetParam());
   auto r = rig.a->open(PhysAddr{"total garbage"});
   EXPECT_EQ(r.code(), Errc::bad_argument);
-  EXPECT_EQ(rig.a->stats().open_retries, 0u);  // no pointless retries
+  // No pointless retries.
+  EXPECT_EQ(counter_value(rig.metrics_a, "nd.open_retries"), 0u);
 }
 
 TEST_P(NdConformance, PeerCloseSurfacesAsEvent) {
@@ -281,10 +288,10 @@ TEST_P(NdConformance, StatsCountTraffic) {
   ASSERT_TRUE(rig.a->send(lvc.value(), to_bytes("m")).ok());
   (void)rig.next_b();
   (void)rig.next_b();
-  EXPECT_EQ(rig.a->stats().opens_initiated, 1u);
-  EXPECT_EQ(rig.a->stats().messages_sent, 1u);
-  EXPECT_EQ(rig.b->stats().opens_accepted, 1u);
-  EXPECT_EQ(rig.b->stats().messages_received, 1u);
+  EXPECT_EQ(counter_value(rig.metrics_a, "nd.opens"), 1u);
+  EXPECT_EQ(counter_value(rig.metrics_a, "nd.msgs_sent"), 1u);
+  EXPECT_EQ(counter_value(rig.metrics_b, "nd.opens_accepted"), 1u);
+  EXPECT_EQ(counter_value(rig.metrics_b, "nd.msgs_received"), 1u);
 }
 
 // ---- simnet-only cases: fault injection and fabric accounting -------------
@@ -399,7 +406,7 @@ TEST(NdSimnet, DuplicatedFramesReachApplicationOnce) {
   }
   // Nothing further arrives: every duplicate was eaten below the STD-IF.
   EXPECT_EQ(rig.events_b.pop_for(50ms).code(), Errc::timeout);
-  EXPECT_GT(rig.b->stats().frames_deduped, 0u);
+  EXPECT_GT(counter_value(rig.metrics_b, "nd.frames_deduped"), 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/testbed.h"
+#include "scope_counters.h"
 
 namespace ntcs::core {
 namespace {
@@ -142,7 +143,9 @@ TEST(NameServerDb, ForwardStillAliveWhenModuleLives) {
   Rig rig;
   auto fwd = rig.mod->nsp().forward(rig.mod->identity().uadd());
   EXPECT_EQ(fwd.code(), Errc::still_alive);
-  EXPECT_GE(rig.tb.name_server().stats().liveness_probes, 1u);
+  EXPECT_GE(counter_value(rig.tb.name_server().node().metrics(),
+                          "ns.liveness_probes"),
+            1u);
 }
 
 TEST(NameServerDb, ForwardFindsSuccessorByName) {
@@ -153,7 +156,9 @@ TEST(NameServerDb, ForwardFindsSuccessorByName) {
   auto fwd = gen2->nsp().forward(old);
   ASSERT_TRUE(fwd.ok());
   EXPECT_EQ(fwd.value(), gen2->identity().uadd());
-  EXPECT_GE(rig.tb.name_server().stats().forward_hits, 1u);
+  EXPECT_GE(counter_value(rig.tb.name_server().node().metrics(),
+                          "ns.forward_hits"),
+            1u);
   gen2->stop();
   rig.mod.reset();
 }
@@ -234,7 +239,9 @@ TEST(NameServerDb, MalformedRequestAnsweredWithError) {
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(nsp::decode_ok_response(reply.value().payload).code(),
             Errc::bad_message);
-  EXPECT_GE(rig.tb.name_server().stats().bad_requests, 1u);
+  EXPECT_GE(counter_value(rig.tb.name_server().node().metrics(),
+                          "ns.bad_requests"),
+            1u);
 }
 
 TEST(NameServerDb, GatewayRegistryServed) {
@@ -273,11 +280,13 @@ TEST(NspLease, FreshLeaseServesLocallyExpiredLeaseGoesBack) {
   EXPECT_GT(lease->expiry, std::chrono::steady_clock::now());
 
   // While the lease is fresh, repeats never cross the wire.
-  const std::uint64_t server_before = rig.tb.name_server().stats().lookups;
+  const metrics::MetricsRegistry& server =
+      rig.tb.name_server().node().metrics();
+  const std::uint64_t server_before = counter_value(server, "ns.lookups");
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(client->commod().locate("mod").ok());
   }
-  EXPECT_EQ(rig.tb.name_server().stats().lookups, server_before);
+  EXPECT_EQ(counter_value(server, "ns.lookups"), server_before);
 
   // The TTL boundary is strict: a lease is good strictly *before* its
   // expiry instant. Retire it to exactly "now" — the very next lookup
@@ -286,7 +295,7 @@ TEST(NspLease, FreshLeaseServesLocallyExpiredLeaseGoesBack) {
   auto again = client->commod().locate("mod");
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again.value(), first.value());
-  EXPECT_EQ(rig.tb.name_server().stats().lookups, server_before + 1);
+  EXPECT_EQ(counter_value(server, "ns.lookups"), server_before + 1);
   auto release = client->nsp().lease_peek("mod");
   ASSERT_TRUE(release.has_value());
   EXPECT_GT(release->expiry, std::chrono::steady_clock::now());
@@ -307,7 +316,8 @@ TEST(NspLease, RenewalAcrossEpochBumpCarriesTheNewEpoch) {
   // it, and the stale-epoch lease must have been dropped rather than
   // merely overwritten (the invalidation counter says which happened).
   const std::uint64_t old_epoch = rig.tb.name_server().epoch();
-  const auto stats_before = client->nsp().stats();
+  const std::uint64_t invalidations_before =
+      counter_value(client->metrics(), "nsp.cache_invalidations");
   rig.mod->stop();
   rig.mod = rig.tb.spawn_module("mod", "m1", "lan").value();
   EXPECT_EQ(rig.tb.name_server().epoch(), old_epoch + 1);
@@ -319,8 +329,8 @@ TEST(NspLease, RenewalAcrossEpochBumpCarriesTheNewEpoch) {
   auto lease2 = client->nsp().lease_peek("mod");
   ASSERT_TRUE(lease2.has_value());
   EXPECT_EQ(lease2->epoch, old_epoch + 1);
-  EXPECT_GT(client->nsp().stats().lease_invalidations,
-            stats_before.lease_invalidations);
+  EXPECT_GT(counter_value(client->metrics(), "nsp.cache_invalidations"),
+            invalidations_before);
 
   client->stop();
 }
@@ -353,13 +363,14 @@ TEST(NspLease, StaleLeaseSelfCorrectsThroughTheAddressFaultRetry) {
   // The cached (now stale) lease still answers locate() — that is the
   // documented contract — but *using* it triggers the LCM forward() retry,
   // which purges the lease and re-resolves to the new incarnation.
-  const auto stats_before = client->nsp().stats();
+  const std::uint64_t invalidations_before =
+      counter_value(client->metrics(), "nsp.cache_invalidations");
   auto reply = client->commod().request(stale.value(), to_bytes("hi"),
                                         std::chrono::seconds(5));
   ASSERT_TRUE(reply.ok()) << reply.error().what();
   EXPECT_EQ(to_string(reply.value().payload), "new-gen");
-  EXPECT_GT(client->nsp().stats().lease_invalidations,
-            stats_before.lease_invalidations);
+  EXPECT_GT(counter_value(client->metrics(), "nsp.cache_invalidations"),
+            invalidations_before);
 
   // After the self-correction the lease cache names the new UAdd.
   auto fresh = client->commod().locate("mod");

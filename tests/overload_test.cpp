@@ -32,6 +32,7 @@
 #include "common/queue.h"
 #include "core/testbed.h"
 #include "drts/monitor.h"
+#include "scope_counters.h"
 
 namespace ntcs::core {
 namespace {
@@ -148,13 +149,17 @@ TEST(Overload, SlowConsumerShedsAndBusyPausesTheSender) {
   EXPECT_GE(overloaded, kOffered / 2);
   EXPECT_LE(timeout, 8);
 
-  const auto vstats = rig.victim->lcm().stats();
-  EXPECT_GE(vstats.shed, static_cast<std::uint64_t>(overloaded));
-  EXPECT_EQ(vstats.busy_frames, vstats.shed);
-  const auto sstats = rig.sender->lcm().stats();
+  const metrics::Snapshot vstats = rig.victim->metrics().snapshot();
+  EXPECT_GE(counter_value(vstats, "lcm.shed"),
+            static_cast<std::uint64_t>(overloaded));
+  EXPECT_EQ(counter_value(vstats, "lcm.busy_frames"),
+            counter_value(vstats, "lcm.shed"));
+  const metrics::Snapshot sstats = rig.sender->metrics().snapshot();
   // Serial resubmission inside the 2ms busy window: the sender paused
   // admission at least once instead of hammering the shedding peer.
-  EXPECT_GE(sstats.busy_pauses + sstats.admission_rejects, 1u);
+  EXPECT_GE(counter_value(sstats, "lcm.busy_pauses") +
+                counter_value(sstats, "lcm.admission_rejects"),
+            1u);
 
   EXPECT_EQ(analysis::lock_inversions(), inversions_before)
       << "busy/shed paths took locks against the documented rank order";
@@ -231,8 +236,7 @@ TEST(Overload, ControlPlaneSurvivesDataPlaneStorm) {
   auto mon_addr = a->commod().locate(drts::kMonitorName);
   ASSERT_TRUE(mon_addr.ok());
 
-  static metrics::Counter& shed = metrics::counter("lcm.shed");
-  const std::uint64_t shed_before = shed.value();
+  const std::uint64_t shed_before = process_counter_value("lcm.shed");
 
   std::atomic<bool> storming{true};
   std::vector<std::jthread> storm;
@@ -266,7 +270,7 @@ TEST(Overload, ControlPlaneSurvivesDataPlaneStorm) {
   storm.clear();  // join
 
   EXPECT_EQ(control_ok, 5);
-  EXPECT_GT(shed.value(), shed_before)
+  EXPECT_GT(process_counter_value("lcm.shed"), shed_before)
       << "the storm never hit the bound — the test proved nothing";
   a->stop();
 }
@@ -301,8 +305,8 @@ TEST(Overload, GatewayFairnessMetersDataAndSparesControl) {
     gw.attachment(i).ip().set_relay_fair_rate(50);
   }
 
-  static metrics::Counter& drops = metrics::counter("gw.fairness_drops");
-  const std::uint64_t drops_before = drops.value();
+  const std::uint64_t drops_before =
+      process_counter_value("gw.fairness_drops");
 
   constexpr int kStorm = 2000;
   const ntcs::Bytes junk = to_bytes(std::string(32, 'd'));
@@ -311,10 +315,12 @@ TEST(Overload, GatewayFairnessMetersDataAndSparesControl) {
   }
   // send() is asynchronous: wait for the storm to finish traversing the
   // fabric (the drop counter stops moving) before judging the meter.
-  std::uint64_t dropped = drops.value() - drops_before;
+  std::uint64_t dropped =
+      process_counter_value("gw.fairness_drops") - drops_before;
   for (int spin = 0; spin < 100; ++spin) {
     std::this_thread::sleep_for(50ms);
-    const std::uint64_t again = drops.value() - drops_before;
+    const std::uint64_t again =
+        process_counter_value("gw.fairness_drops") - drops_before;
     if (again == dropped && spin > 2) break;
     dropped = again;
   }
@@ -359,7 +365,7 @@ TEST(Overload, BoundedMemoryUnderSustainedStorm) {
     ASSERT_TRUE(rig.sender->commod().send(rig.victim_addr, big).ok());
   }
   const long rss_growth = max_rss_kb() - rss_before;
-  const auto vstats = rig.victim->lcm().stats();
+  const std::uint64_t shed = counter_value(rig.victim->metrics(), "lcm.shed");
 
   // Offered ~80 MiB; accept well under half of it as growth (allocator
   // slack, per-thread caches), which still proves the queue bound held.
@@ -374,7 +380,7 @@ TEST(Overload, BoundedMemoryUnderSustainedStorm) {
 #else
   (void)rss_growth;
 #endif
-  EXPECT_GT(vstats.shed, static_cast<std::uint64_t>(kMsgs / 2));
+  EXPECT_GT(shed, static_cast<std::uint64_t>(kMsgs / 2));
 }
 
 }  // namespace

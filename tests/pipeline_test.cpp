@@ -14,6 +14,7 @@
 
 #include "common/metrics.h"
 #include "core/testbed.h"
+#include "scope_counters.h"
 
 namespace ntcs::core {
 namespace {
@@ -72,7 +73,8 @@ TEST(Pipeline, ManyOutstandingRequestsOneCircuit) {
   Rig rig;
   auto loop = echo_loop(*rig.server);
   auto addr = rig.client->commod().locate("server").value();
-  const std::uint64_t requests_before = rig.client->lcm().stats().requests;
+  const std::uint64_t requests_before =
+      counter_value(rig.client->metrics(), "lcm.requests");
   constexpr int kN = 24;
   std::vector<RequestTicket> tickets;
   for (int i = 0; i < kN; ++i) {
@@ -86,9 +88,10 @@ TEST(Pipeline, ManyOutstandingRequestsOneCircuit) {
     ASSERT_TRUE(r.ok()) << i << ": " << r.error().to_string();
     EXPECT_EQ(to_string(r.value().payload), "req-" + std::to_string(i));
   }
-  // All kN went out (the delta may also include a stray DRTS-internal
-  // request issued concurrently — background traffic shares the layer).
-  EXPECT_GE(rig.client->lcm().stats().requests - requests_before,
+  // All kN went out (internal requests issued concurrently count under
+  // lcm.internal_sends, not here).
+  EXPECT_GE(counter_value(rig.client->metrics(), "lcm.requests") -
+                requests_before,
             static_cast<std::uint64_t>(kN));
 }
 
@@ -159,7 +162,7 @@ TEST(Pipeline, WindowBlocksAtDepthAndCountsStalls) {
   });
   std::this_thread::sleep_for(100ms);
   EXPECT_FALSE(third_issued.load());  // parked on the full window
-  EXPECT_GE(rig.client->lcm().stats().window_stalls, 1u);
+  EXPECT_GE(counter_value(rig.client->metrics(), "lcm.window_stalls"), 1u);
 
   {
     std::lock_guard lk(mu);
@@ -281,12 +284,12 @@ TEST(Pipeline, PendingRequestsRetryAcrossRelocation) {
 }
 
 TEST(Pipeline, DepthMetricAndStallCounterRecorded) {
-  metrics::Counter& stalls = metrics::counter("lcm.window_stalls");
   LcmConfig cfg;
   cfg.window_depth = 2;
   Rig rig(cfg);
   auto addr = rig.client->commod().locate("server").value();
-  const std::uint64_t stalls_before = stalls.value();
+  const std::uint64_t stalls_before =
+      process_counter_value("lcm.window_stalls");
   // The gate: nothing answers until the echo loop starts, so two requests
   // fill the 2-deep window and a third must stall in admission.
   auto t0 = rig.client->commod().request_async(addr, to_bytes("a"), 10s);
@@ -299,11 +302,11 @@ TEST(Pipeline, DepthMetricAndStallCounterRecorded) {
     third_ok = r.ok() && to_string(r.value().payload) == "c";
   });
   const auto deadline = std::chrono::steady_clock::now() + 10s;
-  while (stalls.value() == stalls_before &&
+  while (process_counter_value("lcm.window_stalls") == stalls_before &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(1ms);
   }
-  EXPECT_GT(stalls.value(), stalls_before);
+  EXPECT_GT(process_counter_value("lcm.window_stalls"), stalls_before);
   auto loop = echo_loop(*rig.server);  // open the gate
   ASSERT_TRUE(rig.client->commod().await(t0.value()).ok());
   ASSERT_TRUE(rig.client->commod().await(t1.value()).ok());

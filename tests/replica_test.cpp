@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "core/testbed.h"
+#include "scope_counters.h"
 
 namespace ntcs::core {
 namespace {
@@ -41,8 +42,12 @@ TEST(Replica, SnapshotArrives) {
   auto self = rig.tb.replica(0).db_lookup(kNameServerUAdd);
   ASSERT_TRUE(self.has_value());
   EXPECT_EQ(self->name, "name-server");
-  EXPECT_GE(rig.tb.name_server().stats().replications_sent, 1u);
-  EXPECT_GE(rig.tb.replica(0).stats().replications_applied, 1u);
+  EXPECT_GE(counter_value(rig.tb.name_server().node().metrics(),
+                          "ns.replications_sent"),
+            1u);
+  EXPECT_GE(counter_value(rig.tb.replica(0).node().metrics(),
+                          "ns.replications_applied"),
+            1u);
 }
 
 TEST(Replica, IncrementalUpdatesFlow) {
@@ -114,7 +119,9 @@ TEST(Replica, WritesRejectedWithClearError) {
   auto uadd = node->commod().register_self();
   EXPECT_FALSE(uadd.ok());
   EXPECT_EQ(uadd.code(), Errc::unsupported);  // replica's read-only answer
-  EXPECT_GE(rig.tb.replica(0).stats().writes_rejected, 1u);
+  EXPECT_GE(counter_value(rig.tb.replica(0).node().metrics(),
+                          "ns.writes_rejected"),
+            1u);
   node->stop();
 }
 

@@ -8,6 +8,7 @@
 #include "convert/machine.h"
 #include "simnet/fabric.h"
 #include "simnet/phys.h"
+#include "scope_counters.h"
 
 namespace ntcs::simnet {
 namespace {
@@ -256,7 +257,7 @@ TEST(FaultInjection, LossDropsFramesSilently) {
   (void)b->recv_for(1s);  // opened (control, not lossy)
   EXPECT_TRUE(a->send(chan, to_bytes("gone")).ok());
   EXPECT_EQ(b->recv_for(20ms).code(), ntcs::Errc::timeout);
-  EXPECT_EQ(rig.fabric.stats().frames_dropped, 1u);
+  EXPECT_EQ(counter_value(rig.fabric.metrics(), "simnet.frames_dropped"), 1u);
 }
 
 TEST(FaultInjection, KillChannelNotifiesBothEnds) {
@@ -338,10 +339,10 @@ TEST(Stats, CountsTraffic) {
   auto b = rig.fabric.bind(rig.sun, IpcsKind::tcp, "b").value();
   auto chan = a->connect(b->phys()).value();
   ASSERT_TRUE(a->send(chan, to_bytes("12345")).ok());
-  auto s = rig.fabric.stats();
-  EXPECT_EQ(s.connects_ok, 1u);
-  EXPECT_EQ(s.frames_sent, 1u);
-  EXPECT_EQ(s.bytes_sent, 5u);
+  const metrics::Snapshot s = rig.fabric.metrics().snapshot();
+  EXPECT_EQ(counter_value(s, "simnet.connects_ok"), 1u);
+  EXPECT_EQ(counter_value(s, "simnet.frames_sent"), 1u);
+  EXPECT_EQ(counter_value(s, "simnet.bytes_sent"), 5u);
 }
 
 TEST(FabricTopology, NameLookupsReturnDurableValues) {
@@ -443,8 +444,7 @@ TEST(FaultPlan, DuplicationDeliversCopies) {
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first.value().payload, second.value().payload);
-  const auto s = rig.fabric.stats();
-  EXPECT_EQ(s.frames_duplicated, 1u);
+  EXPECT_EQ(counter_value(rig.fabric.metrics(), "simnet.dup"), 1u);
   rig.fabric.clear_faults();
   ASSERT_TRUE(a->send(chan, to_bytes("solo")).ok());
   ASSERT_TRUE(b->recv_for(1s).ok());
@@ -476,7 +476,7 @@ TEST(FaultPlan, ReorderingLetsLaterFramesOvertake) {
   EXPECT_EQ(uniq.size(), order.size());
   // ...but not in send order, and the fabric counted what it did.
   EXPECT_FALSE(std::is_sorted(order.begin(), order.end()));
-  EXPECT_GT(rig.fabric.stats().frames_reordered, 0u);
+  EXPECT_GT(counter_value(rig.fabric.metrics(), "simnet.reordered"), 0u);
 }
 
 TEST(FaultPlan, FlappingLinkDropsAndRecovers) {
@@ -493,9 +493,9 @@ TEST(FaultPlan, FlappingLinkDropsAndRecovers) {
   // data frames vanish silently.
   EXPECT_EQ(a->connect(b->phys()).code(), ntcs::Errc::timeout);
   ASSERT_TRUE(a->send(chan, to_bytes("lost")).ok());
-  const auto down = rig.fabric.stats();
-  EXPECT_EQ(down.flap_dropped, 1u);
-  EXPECT_GE(down.link_flaps, 1u);
+  const metrics::Snapshot down = rig.fabric.metrics().snapshot();
+  EXPECT_EQ(counter_value(down, "simnet.flap_dropped"), 1u);
+  EXPECT_GE(counter_value(down, "simnet.flaps"), 1u);
   // Up phase: traffic flows again.
   std::this_thread::sleep_for(25ms);
   EXPECT_TRUE(a->connect(b->phys()).ok());
@@ -527,7 +527,8 @@ TEST(FaultPlan, CorruptionFlipsBytesPerDirection) {
   auto to_a_got = a->recv_for(1s);
   ASSERT_TRUE(to_a_got.ok());
   EXPECT_EQ(to_a_got.value().payload, msg);  // b -> a untouched
-  EXPECT_EQ(rig.fabric.stats().frames_corrupted, 1u);
+  EXPECT_EQ(counter_value(rig.fabric.metrics(), "simnet.frames_corrupted"),
+            1u);
 }
 
 TEST(FaultPlan, JitterDelaysButPreservesFifo) {
@@ -568,9 +569,10 @@ TEST(FaultPlan, DeterministicForFixedSeed) {
     for (int i = 0; i < 100; ++i) {
       (void)a->send(chan, to_bytes(std::to_string(i)));
     }
-    const auto s = fabric.stats();
-    return std::tuple{s.frames_duplicated, s.frames_reordered,
-                      s.frames_corrupted};
+    const metrics::Snapshot s = fabric.metrics().snapshot();
+    return std::tuple{counter_value(s, "simnet.dup"),
+                      counter_value(s, "simnet.reordered"),
+                      counter_value(s, "simnet.frames_corrupted")};
   };
   EXPECT_EQ(run(), run());
 }
