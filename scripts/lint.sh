@@ -282,6 +282,35 @@ else
   echo "ok: lease-cache state confined to core/nsp/nsp_layer.{h,cpp}"
 fi
 
+echo "== lint: one server loop, one thread owner grep gate =="
+# Every server is an ordinary module (§3: the naming service is "nothing
+# more than an application built on the Nucleus"): it hands ComMod::serve
+# its handlers and Node::run starts the one service thread that runs
+# them. So the only receive loop in src/ is serve() itself — `.receive(`
+# / `->receive(` may appear only in core/ali/commod.cpp — and the naming
+# service, the DRTS and URSA own no thread of their own.
+violations=$(grep -rnE '(\.|->)receive\(' \
+  src/ --include='*.h' --include='*.cpp' \
+  | grep -v '^src/core/ali/commod\.cpp:' || true)
+if [ -n "$violations" ]; then
+  echo "FAIL: a receive loop outside core/ali/commod.cpp — serve requests"
+  echo "      with ComMod::serve on the node's service thread (Node::run):"
+  echo "$violations"
+  fail=1
+else
+  echo "ok: ComMod::serve is the only receive loop in src/"
+fi
+violations=$(grep -rnE 'std::(j)?thread\b' \
+  src/core/nsp src/drts src/ursa --include='*.h' --include='*.cpp' || true)
+if [ -n "$violations" ]; then
+  echo "FAIL: a thread in the naming service, the DRTS or URSA — run the"
+  echo "      service through Node::run, which owns and stops it:"
+  echo "$violations"
+  fail=1
+else
+  echo "ok: no threads in core/nsp, drts or ursa"
+fi
+
 echo "== lint: clang-tidy =="
 if ! command -v clang-tidy >/dev/null 2>&1; then
   # NTCS_LINT_STRICT=1 turns "tool missing" from a notice into a failure:

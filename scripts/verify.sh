@@ -13,8 +13,11 @@
 #    interleaving-sensitive code in the tree.
 # 5. Metrics suite (ctest label `metrics`) repeated under TSan: per-node
 #    scopes created, summed and folded while snapshots race them. Then the
-#    trace suite (ctest label `trace`) in the normal build, then repeated
-#    under TSan: the span ring's lock-free writers vs. snapshot readers.
+#    services suites (label `services`: ComMod::serve, the node-owned
+#    service thread and every server on them) in the normal build, then
+#    repeated under TSan. Then the trace suite (ctest label `trace`) in
+#    the normal build, then repeated under TSan: the span ring's lock-free
+#    writers vs. snapshot readers.
 # 6. Realnet stage: the STD-IF conformance labels (`nd`, `realnet`) plus
 #    the realnet half of the parameterized integration suite, normal build
 #    and TSan — real listener/reader threads over real loopback sockets.
@@ -89,6 +92,18 @@ ctest --test-dir "$TSAN_DIR" -j"$(nproc)" --output-on-failure \
 cmake --build "$TSAN_DIR" -j"$(nproc)" --target metrics_test
 ctest --test-dir "$TSAN_DIR" -j"$(nproc)" --output-on-failure \
   -L metrics --repeat until-fail:3
+
+# Services stage (label `services`): ComMod::serve, Node::run/stop and
+# every server built on them — Name Server clients, the DRTS services,
+# process control's relocation, the file service and URSA. Once in the
+# normal build, then repeated under TSan: each server's handler runs on
+# the node's service thread, started by run() and joined by stop() while
+# requests are in flight.
+cmake --build "$TSAN_DIR" -j"$(nproc)" --target commod_test node_test \
+  drts_test file_service_test ursa_test
+ctest --test-dir "$BUILD_DIR" -j"$(nproc)" --output-on-failure -L services
+ctest --test-dir "$TSAN_DIR" -j"$(nproc)" --output-on-failure \
+  -L services --repeat until-fail:3
 
 # Tracing suite (label `trace`): the wire round trip, the span ring, the
 # gateway-chain span chain and the chaos-harvest acceptance — once in the

@@ -1,5 +1,6 @@
 #include "core/ali/commod.h"
 
+#include "common/health.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 
@@ -145,6 +146,30 @@ ntcs::Status ComMod::reply(const ReplyCtx& ctx, const Payload& p) {
 ntcs::Status ComMod::dgram(UAdd dst, ntcs::BytesView bytes) {
   if (auto st = check_dst(dst, bytes.size()); !st.ok()) return st;
   return lcm_.dgram(dst, bytes);
+}
+
+void ComMod::serve(const std::stop_token& st, const RequestHandler& on_request,
+                   const OtherHandler& on_other) {
+  // The loop iterates at least every poll, so the default 1s stall window
+  // leaves ~10 missed iterations of slack.
+  constexpr std::chrono::milliseconds kPoll{100};
+  health::Heartbeat& hb = health::heartbeat("serve." + identity_->name());
+  while (!st.stop_requested()) {
+    hb.beat();
+    auto in = lcm_.receive(kPoll);
+    if (!in) {
+      if (in.code() == ntcs::Errc::timeout) continue;
+      break;  // queue closed: the node is stopping
+    }
+    if (in.value().is_request) {
+      const ntcs::Bytes out = on_request(in.value());
+      (void)lcm_.reply(in.value().reply_ctx, out);
+    } else if (on_other) {
+      on_other(in.value());
+    }
+  }
+  // A cleanly stopped server must not read as a stalled one.
+  hb.retire();
 }
 
 ntcs::Result<Payload> ComMod::payload_for(const convert::Record& rec) const {

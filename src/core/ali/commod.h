@@ -8,8 +8,9 @@
 // the Nucleus and NSP-Layer services, tailors the error returns, and
 // performs parameter checking. It may be better described as a thin
 // veneer." Three primitive classes (§1.3): basic communication (async
-// send, sync send/receive/reply, datagrams), resource location
-// (register/locate), and utilities (stats, ping, schema payload helpers).
+// send, sync send/receive/reply, datagrams, and serve — the one server
+// loop every service module runs), resource location (register/locate),
+// and utilities (stats, ping, schema payload helpers).
 //
 // Concurrency (DESIGN.md §6): the ComMod is deliberately the one layer
 // with no lock of its own — it holds no mutable shared state (identity
@@ -19,7 +20,9 @@
 #pragma once
 
 #include <chrono>
+#include <functional>
 #include <memory>
+#include <stop_token>
 #include <string_view>
 
 #include "common/bytes.h"
@@ -32,6 +35,11 @@ namespace ntcs::core {
 
 /// Largest application message the ALI-Layer accepts.
 inline constexpr std::size_t kMaxAppMessage = 1 << 20;
+
+/// serve() handlers: a request's reply bytes, and everything else (sends
+/// and datagrams).
+using RequestHandler = std::function<ntcs::Bytes(const Incoming&)>;
+using OtherHandler = std::function<void(const Incoming&)>;
 
 class ComMod {
  public:
@@ -93,6 +101,15 @@ class ComMod {
   ntcs::Status reply(const ReplyCtx& ctx, const Payload& p);
   /// Connectionless best-effort datagram.
   ntcs::Status dgram(UAdd dst, ntcs::BytesView bytes);
+  /// The server loop: answer each request with on_request's bytes and
+  /// hand sends and datagrams to on_other (dropped when it is empty),
+  /// until `st` is set or the receive queue closes. Runs on the node's
+  /// service thread (Node::run). It beats the `serve.<name>` heartbeat
+  /// every iteration and retires it on exit. Unlike receive()/reply(), it
+  /// records no ali.recv_wait_ns sample and applies no kMaxAppMessage
+  /// cap to replies.
+  void serve(const std::stop_token& st, const RequestHandler& on_request,
+             const OtherHandler& on_other = {});
 
   // ---- schema helpers (the §5.1 "automatic code generator" in use) -------
   /// Build an outbound payload from a schema record: the memory image in

@@ -59,6 +59,10 @@ void Node::pump_main(const std::stop_token& st) {
   const IpEventSink up = [this](const IpEvent& e) { lcm_.on_ip_event(e); };
   while (!st.stop_requested()) {
     hb.beat();
+    // A same-named node that stops retires this shared heartbeat (a
+    // relocation starts the replacement before it kills the original):
+    // re-arm it while this pump runs.
+    if (!hb.active()) (void)health::heartbeat("pump." + cfg_.name);
     auto ev = nd_.pump(50ms);
     if (!ev) {
       if (ev.code() == ntcs::Errc::timeout) continue;
@@ -69,13 +73,19 @@ void Node::pump_main(const std::stop_token& st) {
   }
 }
 
+void Node::run(std::function<void(std::stop_token)> body) {
+  service_ = std::jthread(std::move(body));
+}
+
 void Node::stop() {
   if (!running_) return;
   running_ = false;
+  service_.request_stop();
   nd_.shutdown();  // pump sees closed and exits
   pump_.request_stop();
   if (pump_.joinable()) pump_.join();
-  lcm_.shutdown();
+  lcm_.shutdown();  // closes the receive queue; nested waits fail
+  if (service_.joinable()) service_.join();
   // A cleanly stopped pump must not read as a stalled one.
   health::heartbeat("pump." + cfg_.name).retire();
   health::journal_note(health::EventKind::transition, "node", "stop");

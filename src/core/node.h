@@ -6,11 +6,13 @@
 // that drives deliveries upward through them. The layers themselves stay
 // passive, exactly as in the paper; the pump is the modern stand-in for
 // the original's in-process upcall path, and it NEVER blocks — every
-// blocking primitive runs on application/service threads. Every counter
-// the layers bump lives in the node's own metrics scope (metrics()), a
-// child of the process root.
+// blocking primitive runs on application/service threads. A service
+// module also has at most one service thread, started by run() and
+// stopped with the node. Every counter the layers bump lives in the
+// node's own metrics scope (metrics()), a child of the process root.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <thread>
 
@@ -50,7 +52,16 @@ class Node {
   /// the recursive naming-service hooks, and start the pump.
   ntcs::Status start();
 
-  /// Stop the pump and tear down the endpoint. Idempotent.
+  /// Start the module's one service thread running `body` (after
+  /// start(), once). `body` must return once its stop token is set or the
+  /// node's receive queue closes — ComMod::serve does both. It may block
+  /// on the NTCS, but must not stop its own node.
+  void run(std::function<void(std::stop_token)> body);
+
+  /// Stop the service thread and the pump and tear down the endpoint:
+  /// request the service's stop, shut the layers down (closing the
+  /// receive queue and failing nested waits), then join the service.
+  /// Idempotent.
   void stop();
 
   /// Install (or replace) the well-known table after construction — used
@@ -89,6 +100,8 @@ class Node {
   NspLayer nsp_;
   ComMod commod_;
   std::jthread pump_;
+  // Declared after the layers: destroyed (stopped and joined) first.
+  std::jthread service_;
   bool running_ = false;
 };
 

@@ -40,7 +40,7 @@ NameServer::NameServer(NodeConfig cfg, NsRole role, NsShardConfig shard)
 NameServer::~NameServer() { stop(); }
 
 ntcs::Status NameServer::start() {
-  if (running_) return ntcs::Status::success();
+  if (node_->running()) return ntcs::Status::success();
   if (auto st = node_->start(); !st.ok()) return st;
   // Complete the well-known table with our own freshly bound address so
   // the node's own stack treats the shard's UAdd as local-resolvable.
@@ -70,17 +70,18 @@ ntcs::Status NameServer::start() {
       db_[self.uadd] = std::move(self);
     }
   }
-  server_ = std::jthread([this](std::stop_token st) { serve(st); });
-  running_ = true;
+  node_->run([this](std::stop_token st) {
+    node_->commod().serve(
+        st, [this](const Incoming& in) { return handle(in); },
+        [this](const Incoming& in) {
+          // Datagrams: replication traffic from the primary.
+          auto req = nsp::decode_request(in.payload);
+          if (req && req.value().op == nsp::NsOp::replicate) {
+            apply_replica_update(req.value().update);
+          }
+        });
+  });
   return ntcs::Status::success();
-}
-
-void NameServer::stop() {
-  if (!running_) return;
-  running_ = false;
-  server_.request_stop();
-  node_->stop();  // closes the receive queue; serve() drains and exits
-  if (server_.joinable()) server_.join();
 }
 
 NsRole NameServer::role() const {
@@ -93,35 +94,19 @@ std::uint64_t NameServer::epoch() const {
   return epoch_;
 }
 
-void NameServer::serve(const std::stop_token& st) {
-  using namespace std::chrono_literals;
-  while (!st.stop_requested()) {
-    auto in = node_->lcm().receive(100ms);
-    if (!in) {
-      if (in.code() == ntcs::Errc::timeout) continue;
-      break;  // queue closed
-    }
-    if (!in.value().is_request) {
-      // Datagrams: replication traffic from the primary.
-      auto req = nsp::decode_request(in.value().payload);
-      if (req && req.value().op == nsp::NsOp::replicate) {
-        apply_replica_update(req.value().update);
-      }
-      continue;
-    }
-    auto req = nsp::decode_request(in.value().payload);
-    ntcs::Bytes response;
-    if (!req) {
-      bad_requests_.inc();
-      response = nsp::encode_error_response(ntcs::Errc::bad_message,
-                                            req.error().to_string());
-    } else {
-      response = handle(req.value());
-    }
-    (void)node_->lcm().reply(in.value().reply_ctx,
-                             Payload::raw(std::move(response)));
-    flush_replication();
+ntcs::Bytes NameServer::handle(const Incoming& in) {
+  auto req = nsp::decode_request(in.payload);
+  ntcs::Bytes response;
+  if (!req) {
+    bad_requests_.inc();
+    response = nsp::encode_error_response(ntcs::Errc::bad_message,
+                                          req.error().to_string());
+  } else {
+    response = handle(req.value());
   }
+  // Replicas hear of a write before its client does.
+  flush_replication();
+  return response;
 }
 
 nsp::ReplicaUpdate NameServer::update_for_locked(const DbRecord& rec) const {

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <optional>
-#include <thread>
 #include <unordered_map>
 
 #include "common/annotated.h"
@@ -73,7 +72,7 @@ class NameServer {
   NameServer& operator=(const NameServer&) = delete;
 
   ntcs::Status start();
-  void stop();
+  void stop() { node_->stop(); }
 
   /// Current role — a standby flips to primary on promotion.
   NsRole role() const;
@@ -121,12 +120,13 @@ class NameServer {
     bool deregistered = false;
   };
 
-  void serve(const std::stop_token& st);
+  /// One request's reply; runs on the node's service thread.
+  ntcs::Bytes handle(const Incoming& in);
   ntcs::Bytes handle(const nsp::Request& req);
   void apply_replica_update(const nsp::ReplicaUpdate& u);
   nsp::ReplicaUpdate update_for_locked(const DbRecord& rec) const
       REQUIRES(mu_);
-  /// Ship queued mutations to every replica (serve-thread only).
+  /// Ship queued mutations to every replica (service thread only).
   void flush_replication();
   /// The newest live record with this name, via the by-name index (O(1));
   /// falls back to a scan + index repair if the indexed record died.
@@ -188,8 +188,6 @@ class NameServer {
   std::uint64_t next_uadd_ GUARDED_BY(mu_) = kFirstDynamicUAdd;
   std::uint64_t next_seq_ GUARDED_BY(mu_) = 1;
   std::uint64_t epoch_ GUARDED_BY(mu_) = 1;
-  std::jthread server_;
-  bool running_ = false;
 };
 
 }  // namespace ntcs::core

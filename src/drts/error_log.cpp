@@ -4,8 +4,6 @@
 
 namespace ntcs::drts {
 
-using namespace std::chrono_literals;
-
 ErrorLogServer::ErrorLogServer(core::NodeConfig cfg) {
   if (cfg.name.empty()) cfg.name = std::string(kErrorLogName);
   node_ = std::make_unique<core::Node>(std::move(cfg));
@@ -14,52 +12,39 @@ ErrorLogServer::ErrorLogServer(core::NodeConfig cfg) {
 ErrorLogServer::~ErrorLogServer() { stop(); }
 
 ntcs::Status ErrorLogServer::start() {
-  if (running_) return ntcs::Status::success();
+  if (node_->running()) return ntcs::Status::success();
   if (auto st = node_->start(); !st.ok()) return st;
   auto uadd = node_->commod().register_self({{"role", "error-log"}});
   if (!uadd) return uadd.error();
-  server_ = std::jthread([this](std::stop_token st) { serve(st); });
-  running_ = true;
+  node_->run([this](std::stop_token st) {
+    node_->commod().serve(
+        st, [this](const core::Incoming&) { return handle_query(); },
+        [this](const core::Incoming& in) { handle_report(in); });
+  });
   return ntcs::Status::success();
 }
 
-void ErrorLogServer::stop() {
-  if (!running_) return;
-  running_ = false;
-  server_.request_stop();
-  node_->stop();
-  if (server_.joinable()) server_.join();
+ntcs::Bytes ErrorLogServer::handle_query() {
+  convert::Packer p;
+  {
+    ntcs::LockGuard lk(mu_);
+    p.put_u64(total_);
+  }
+  return std::move(p).take();
 }
 
-void ErrorLogServer::serve(const std::stop_token& st) {
-  while (!st.stop_requested()) {
-    auto in = node_->lcm().receive(100ms);
-    if (!in) {
-      if (in.code() == ntcs::Errc::timeout) continue;
-      break;
-    }
-    if (in.value().is_request) {
-      convert::Packer p;
-      {
-        ntcs::LockGuard lk(mu_);
-        p.put_u64(total_);
-      }
-      (void)node_->lcm().reply(in.value().reply_ctx,
-                               core::Payload::raw(std::move(p).take()));
-      continue;
-    }
-    convert::Unpacker u(in.value().payload);
-    auto module = u.get_string();
-    auto layer = u.get_string();
-    auto code = u.get_u64();
-    auto text = u.get_string();
-    if (!module || !layer || !code || !text) continue;
-    ErrorKey key{std::move(module.value()), std::move(layer.value()),
-                 static_cast<ntcs::Errc>(code.value())};
-    ntcs::LockGuard lk(mu_);
-    ++table_[key];
-    ++total_;
-  }
+void ErrorLogServer::handle_report(const core::Incoming& in) {
+  convert::Unpacker u(in.payload);
+  auto module = u.get_string();
+  auto layer = u.get_string();
+  auto code = u.get_u64();
+  auto text = u.get_string();
+  if (!module || !layer || !code || !text) return;
+  ErrorKey key{std::move(module.value()), std::move(layer.value()),
+               static_cast<ntcs::Errc>(code.value())};
+  ntcs::LockGuard lk(mu_);
+  ++table_[key];
+  ++total_;
 }
 
 std::map<ErrorKey, std::uint64_t> ErrorLogServer::table() const {

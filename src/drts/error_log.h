@@ -11,7 +11,6 @@
 
 #include <map>
 #include <memory>
-#include <thread>
 
 #include "common/annotated.h"
 #include "core/node.h"
@@ -41,7 +40,7 @@ class ErrorLogServer {
   ErrorLogServer& operator=(const ErrorLogServer&) = delete;
 
   ntcs::Status start();
-  void stop();
+  void stop() { node_->stop(); }
 
   core::Node& node() { return *node_; }
 
@@ -51,14 +50,13 @@ class ErrorLogServer {
   std::uint64_t count_for(const std::string& module) const;
 
  private:
-  void serve(const std::stop_token& st);
+  ntcs::Bytes handle_query();
+  void handle_report(const core::Incoming& in);
 
   std::unique_ptr<core::Node> node_;
   mutable ntcs::Mutex mu_{ntcs::lockrank::kDrtsServer, "drts.error_log"};
   std::map<ErrorKey, std::uint64_t> table_ GUARDED_BY(mu_);
   std::uint64_t total_ GUARDED_BY(mu_) = 0;
-  std::jthread server_;
-  bool running_ = false;
 };
 
 class ErrorLogClient {

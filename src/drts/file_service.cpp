@@ -78,34 +78,15 @@ FileServer::FileServer(core::NodeConfig cfg) {
 FileServer::~FileServer() { stop(); }
 
 ntcs::Status FileServer::start() {
-  if (running_) return ntcs::Status::success();
+  if (node_->running()) return ntcs::Status::success();
   if (auto st = node_->start(); !st.ok()) return st;
   auto uadd = node_->commod().register_self({{"role", "file"}});
   if (!uadd) return uadd.error();
-  server_ = std::jthread([this](std::stop_token st) { serve(st); });
-  running_ = true;
+  node_->run([this](std::stop_token st) {
+    node_->commod().serve(
+        st, [this](const core::Incoming& in) { return handle(in.payload); });
+  });
   return ntcs::Status::success();
-}
-
-void FileServer::stop() {
-  if (!running_) return;
-  running_ = false;
-  server_.request_stop();
-  node_->stop();
-  if (server_.joinable()) server_.join();
-}
-
-void FileServer::serve(const std::stop_token& st) {
-  while (!st.stop_requested()) {
-    auto in = node_->lcm().receive(100ms);
-    if (!in) {
-      if (in.code() == ntcs::Errc::timeout) continue;
-      break;
-    }
-    if (!in.value().is_request) continue;
-    (void)node_->lcm().reply(in.value().reply_ctx,
-                             core::Payload::raw(handle(in.value().payload)));
-  }
 }
 
 ntcs::Bytes FileServer::handle(ntcs::BytesView request) {

@@ -13,7 +13,6 @@
 
 #include <map>
 #include <memory>
-#include <thread>
 
 #include "common/annotated.h"
 #include "core/node.h"
@@ -41,7 +40,7 @@ class FileServer {
   FileServer& operator=(const FileServer&) = delete;
 
   ntcs::Status start();
-  void stop();
+  void stop() { node_->stop(); }
 
   core::Node& node() { return *node_; }
 
@@ -55,14 +54,11 @@ class FileServer {
     std::uint64_t version = 0;
   };
 
-  void serve(const std::stop_token& st);
   ntcs::Bytes handle(ntcs::BytesView request);
 
   std::unique_ptr<core::Node> node_;
   mutable ntcs::Mutex mu_{ntcs::lockrank::kDrtsServer, "drts.file_service"};
   std::map<std::string, Entry> files_ GUARDED_BY(mu_);
-  std::jthread server_;
-  bool running_ = false;
 };
 
 /// Client-side API bound to one module's Node.

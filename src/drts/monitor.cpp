@@ -289,166 +289,147 @@ MonitorServer::MonitorServer(core::NodeConfig cfg, std::size_t ring_capacity)
 MonitorServer::~MonitorServer() { stop(); }
 
 ntcs::Status MonitorServer::start() {
-  if (running_) return ntcs::Status::success();
+  if (node_->running()) return ntcs::Status::success();
   if (auto st = node_->start(); !st.ok()) return st;
   auto uadd = node_->commod().register_self({{"role", "monitor"}});
   if (!uadd) return uadd.error();
-  server_ = std::jthread([this](std::stop_token st) { serve(st); });
-  running_ = true;
+  node_->run([this](std::stop_token st) {
+    node_->commod().serve(
+        st, [this](const core::Incoming& in) { return handle_query(in); },
+        [this](const core::Incoming& in) { record(in); });
+  });
   return ntcs::Status::success();
 }
 
-void MonitorServer::stop() {
-  if (!running_) return;
-  running_ = false;
-  server_.request_stop();
-  node_->stop();
-  if (server_.joinable()) server_.join();
-  health::heartbeat("drts." + node_->config().name).retire();
+ntcs::Bytes MonitorServer::handle_query(const core::Incoming& in) {
+  // Statistics query. An empty payload is the original protocol
+  // ("summary"); otherwise the payload selects the report.
+  std::uint64_t op = kMonitorOpSummary;
+  if (!in.payload.empty()) {
+    convert::Unpacker u(in.payload);
+    auto got = u.get_u64();
+    if (got) op = got.value();
+  }
+  if (op == kMonitorOpMetrics) {
+    // The per-layer registry, served over the NTCS itself. This query
+    // path is internal traffic end to end, so answering it perturbs
+    // none of the monitored-send metrics it reports (§6.1).
+    auto snap = metrics::MetricsRegistry::instance().snapshot();
+    bool clipped = false;
+    while (snap.values.size() > kMaxMetricsHarvest) {
+      // Alphabetically-last entries lose; a registry this large is
+      // itself a bug the truncated flag is there to surface.
+      snap.values.erase(std::prev(snap.values.end()));
+      clipped = true;
+    }
+    return encode_snapshot(snap, clipped);
+  }
+  if (op == kMonitorOpTraces) {
+    // Span-buffer harvest: the same recursive monitor path, serving
+    // the process's trace ring. Query traffic is internal, so the
+    // harvest itself never appears in the spans it returns.
+    TraceQuery q;
+    convert::Unpacker tu(in.payload);
+    (void)tu.get_u64();  // op, already decoded above
+    auto kind = tu.get_u64();
+    auto hi = tu.get_u64();
+    auto lo = tu.get_u64();
+    auto since = tu.get_i64();
+    if (kind && hi && lo && since) {
+      q.kind = static_cast<TraceQuery::Kind>(kind.value());
+      q.trace_hi = hi.value();
+      q.trace_lo = lo.value();
+      q.since_ns = since.value();
+    }
+    std::vector<trace::Span> spans;
+    switch (q.kind) {
+      case TraceQuery::Kind::by_trace:
+        spans = trace::spans_for_trace(q.trace_hi, q.trace_lo);
+        break;
+      case TraceQuery::Kind::since:
+        spans = trace::spans_since(q.since_ns);
+        break;
+      case TraceQuery::Kind::all:
+      default:
+        spans = trace::snapshot_spans();
+        break;
+    }
+    bool clipped = false;
+    if (spans.size() > kMaxTraceHarvest) {
+      // Newest spans win (the ring already discarded the oldest).
+      spans.erase(spans.begin(),
+                  spans.begin() +
+                      static_cast<std::ptrdiff_t>(spans.size() -
+                                                  kMaxTraceHarvest));
+      clipped = true;
+    }
+    return encode_spans(spans, clipped);
+  }
+  if (op == kMonitorOpHealth) {
+    // The latest watchdog verdict — or, when no watchdog thread runs
+    // in this process, a fresh sample so the answer is never stale.
+    auto& reg = health::HealthRegistry::instance();
+    return encode_health(reg.watchdog_running() ? reg.latest()
+                                                  : reg.check_now());
+  }
+  if (op == kMonitorOpJournal) {
+    // Flight-recorder drain. The payload may carry a per-query cap
+    // after the op; it is clamped to kMaxJournalHarvest either way.
+    std::uint64_t max = kMaxJournalHarvest;
+    convert::Unpacker ju(in.payload);
+    (void)ju.get_u64();  // op, already decoded above
+    if (auto m = ju.get_u64(); m && m.value() > 0) max = m.value();
+    if (max > kMaxJournalHarvest) max = kMaxJournalHarvest;
+    auto events = health::journal_snapshot();
+    bool clipped = false;
+    if (events.size() > max) {
+      // Newest events win (the ring already overwrote the oldest).
+      events.erase(events.begin(),
+                   events.begin() + static_cast<std::ptrdiff_t>(
+                                        events.size() - max));
+      clipped = true;
+    }
+    return encode_journal(events, clipped);
+  }
+  convert::Packer p;
+  {
+    ntcs::LockGuard lk(mu_);
+    p.put_u64(count_);
+    p.put_u64(total_bytes_);
+  }
+  return std::move(p).take();
 }
 
-void MonitorServer::serve(const std::stop_token& st) {
-  // The serve loop iterates at least every 100ms (receive timeout), so
-  // the default 1s stall window leaves ~10 missed iterations of slack.
-  health::Heartbeat& hb = health::heartbeat("drts." + node_->config().name);
-  while (!st.stop_requested()) {
-    hb.beat();
-    auto in = node_->lcm().receive(100ms);
-    if (!in) {
-      if (in.code() == ntcs::Errc::timeout) continue;
-      break;
-    }
-    if (in.value().is_request) {
-      // Statistics query. An empty payload is the original protocol
-      // ("summary"); otherwise the payload selects the report.
-      std::uint64_t op = kMonitorOpSummary;
-      if (!in.value().payload.empty()) {
-        convert::Unpacker u(in.value().payload);
-        auto got = u.get_u64();
-        if (got) op = got.value();
-      }
-      ntcs::Bytes body;
-      if (op == kMonitorOpMetrics) {
-        // The per-layer registry, served over the NTCS itself. This query
-        // path is internal traffic end to end, so answering it perturbs
-        // none of the monitored-send metrics it reports (§6.1).
-        auto snap = metrics::MetricsRegistry::instance().snapshot();
-        bool clipped = false;
-        while (snap.values.size() > kMaxMetricsHarvest) {
-          // Alphabetically-last entries lose; a registry this large is
-          // itself a bug the truncated flag is there to surface.
-          snap.values.erase(std::prev(snap.values.end()));
-          clipped = true;
-        }
-        body = encode_snapshot(snap, clipped);
-      } else if (op == kMonitorOpTraces) {
-        // Span-buffer harvest: the same recursive monitor path, serving
-        // the process's trace ring. Query traffic is internal, so the
-        // harvest itself never appears in the spans it returns.
-        TraceQuery q;
-        convert::Unpacker tu(in.value().payload);
-        (void)tu.get_u64();  // op, already decoded above
-        auto kind = tu.get_u64();
-        auto hi = tu.get_u64();
-        auto lo = tu.get_u64();
-        auto since = tu.get_i64();
-        if (kind && hi && lo && since) {
-          q.kind = static_cast<TraceQuery::Kind>(kind.value());
-          q.trace_hi = hi.value();
-          q.trace_lo = lo.value();
-          q.since_ns = since.value();
-        }
-        std::vector<trace::Span> spans;
-        switch (q.kind) {
-          case TraceQuery::Kind::by_trace:
-            spans = trace::spans_for_trace(q.trace_hi, q.trace_lo);
-            break;
-          case TraceQuery::Kind::since:
-            spans = trace::spans_since(q.since_ns);
-            break;
-          case TraceQuery::Kind::all:
-          default:
-            spans = trace::snapshot_spans();
-            break;
-        }
-        bool clipped = false;
-        if (spans.size() > kMaxTraceHarvest) {
-          // Newest spans win (the ring already discarded the oldest).
-          spans.erase(spans.begin(),
-                      spans.begin() +
-                          static_cast<std::ptrdiff_t>(spans.size() -
-                                                      kMaxTraceHarvest));
-          clipped = true;
-        }
-        body = encode_spans(spans, clipped);
-      } else if (op == kMonitorOpHealth) {
-        // The latest watchdog verdict — or, when no watchdog thread runs
-        // in this process, a fresh sample so the answer is never stale.
-        auto& reg = health::HealthRegistry::instance();
-        body = encode_health(reg.watchdog_running() ? reg.latest()
-                                                    : reg.check_now());
-      } else if (op == kMonitorOpJournal) {
-        // Flight-recorder drain. The payload may carry a per-query cap
-        // after the op; it is clamped to kMaxJournalHarvest either way.
-        std::uint64_t max = kMaxJournalHarvest;
-        convert::Unpacker ju(in.value().payload);
-        (void)ju.get_u64();  // op, already decoded above
-        if (auto m = ju.get_u64(); m && m.value() > 0) max = m.value();
-        if (max > kMaxJournalHarvest) max = kMaxJournalHarvest;
-        auto events = health::journal_snapshot();
-        bool clipped = false;
-        if (events.size() > max) {
-          // Newest events win (the ring already overwrote the oldest).
-          events.erase(events.begin(),
-                       events.begin() + static_cast<std::ptrdiff_t>(
-                                            events.size() - max));
-          clipped = true;
-        }
-        body = encode_journal(events, clipped);
-      } else {
-        convert::Packer p;
-        {
-          ntcs::LockGuard lk(mu_);
-          p.put_u64(count_);
-          p.put_u64(total_bytes_);
-        }
-        body = std::move(p).take();
-      }
-      (void)node_->lcm().reply(in.value().reply_ctx,
-                               core::Payload::raw(std::move(body)));
-      continue;
-    }
-    // A sample datagram.
-    convert::Unpacker u(in.value().payload);
-    MonitorRecord rec;
-    auto src = u.get_u64();
-    auto dst = u.get_u64();
-    auto bytes = u.get_u64();
-    auto ts = u.get_i64();
-    auto req = u.get_bool();
-    if (!src || !dst || !bytes || !ts || !req) continue;  // malformed: drop
-    rec.src = src.value();
-    rec.dst = dst.value();
-    rec.bytes = bytes.value();
-    rec.timestamp_ns = ts.value();
-    rec.request = req.value();
-    ntcs::LockGuard lk(mu_);
-    ring_.push_back(rec);
-    while (ring_.size() > ring_capacity_) ring_.pop_front();
-    static metrics::Gauge& g_depth = metrics::gauge("drts.monitor_ring.depth");
-    g_depth.set(static_cast<std::int64_t>(ring_.size()));
-    total_bytes_ += rec.bytes;
-    ++count_;
-    PairStats& ps = pairs_[{rec.src, rec.dst}];
-    if (ps.count == 0) {
-      ps.src = rec.src;
-      ps.dst = rec.dst;
-      ps.first_ts_ns = rec.timestamp_ns;
-    }
-    ++ps.count;
-    ps.bytes += rec.bytes;
-    ps.last_ts_ns = rec.timestamp_ns;
+void MonitorServer::record(const core::Incoming& in) {
+  convert::Unpacker u(in.payload);
+  MonitorRecord rec;
+  auto src = u.get_u64();
+  auto dst = u.get_u64();
+  auto bytes = u.get_u64();
+  auto ts = u.get_i64();
+  auto req = u.get_bool();
+  if (!src || !dst || !bytes || !ts || !req) return;  // malformed: drop
+  rec.src = src.value();
+  rec.dst = dst.value();
+  rec.bytes = bytes.value();
+  rec.timestamp_ns = ts.value();
+  rec.request = req.value();
+  ntcs::LockGuard lk(mu_);
+  ring_.push_back(rec);
+  while (ring_.size() > ring_capacity_) ring_.pop_front();
+  static metrics::Gauge& g_depth = metrics::gauge("drts.monitor_ring.depth");
+  g_depth.set(static_cast<std::int64_t>(ring_.size()));
+  total_bytes_ += rec.bytes;
+  ++count_;
+  PairStats& ps = pairs_[{rec.src, rec.dst}];
+  if (ps.count == 0) {
+    ps.src = rec.src;
+    ps.dst = rec.dst;
+    ps.first_ts_ns = rec.timestamp_ns;
   }
+  ++ps.count;
+  ps.bytes += rec.bytes;
+  ps.last_ts_ns = rec.timestamp_ns;
 }
 
 std::uint64_t MonitorServer::sample_count() const {

@@ -14,7 +14,6 @@
 #include <map>
 #include <optional>
 #include <memory>
-#include <thread>
 
 #include "common/health.h"
 #include "common/metrics.h"
@@ -54,7 +53,7 @@ class MonitorServer {
   MonitorServer& operator=(const MonitorServer&) = delete;
 
   ntcs::Status start();
-  void stop();
+  void stop() { node_->stop(); }
 
   core::Node& node() { return *node_; }
 
@@ -87,7 +86,10 @@ class MonitorServer {
   std::string report() const;
 
  private:
-  void serve(const std::stop_token& st);
+  /// A statistics query's reply.
+  ntcs::Bytes handle_query(const core::Incoming& in);
+  /// A sample datagram.
+  void record(const core::Incoming& in);
 
   std::unique_ptr<core::Node> node_;
   std::size_t ring_capacity_;
@@ -98,8 +100,6 @@ class MonitorServer {
       GUARDED_BY(mu_);
   std::uint64_t total_bytes_ GUARDED_BY(mu_) = 0;
   std::uint64_t count_ GUARDED_BY(mu_) = 0;
-  std::jthread server_;
-  bool running_ = false;
 };
 
 /// The sending-side half: builds the LCM monitor hook.

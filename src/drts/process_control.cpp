@@ -2,8 +2,6 @@
 
 namespace ntcs::drts {
 
-using namespace std::chrono_literals;
-
 ProcessController::ProcessController(core::Testbed& tb) : tb_(tb) {}
 
 ProcessController::~ProcessController() {
@@ -15,22 +13,44 @@ ProcessController::~ProcessController() {
   for (const auto& name : names) (void)kill(name);
 }
 
-ntcs::Result<core::UAdd> ProcessController::start_managed(
-    Managed& m, const std::string& name, const std::string& machine,
-    const std::string& net) {
-  auto node = tb_.make_node(name, machine, net);
-  if (!node) return node.error();
-  m.node = std::move(node.value());
-  auto uadd = m.node->commod().register_self(m.attrs);
-  if (!uadd) {
-    m.node->stop();
-    m.node.reset();
-    return uadd.error();
+ntcs::Result<ProcessController::Managed> ProcessController::take(
+    const std::string& name, bool reserve) {
+  ntcs::LockGuard lk(mu_);
+  auto it = modules_.find(name);
+  if (it == modules_.end()) {
+    return ntcs::Error(ntcs::Errc::not_found,
+                       "no managed module '" + name + "'");
   }
-  core::Node* raw = m.node.get();
-  ServiceFn fn = m.fn;
-  m.service = std::jthread(
-      [raw, fn = std::move(fn)](std::stop_token st) { fn(*raw, st); });
+  if (it->second.starting) {
+    return ntcs::Error(ntcs::Errc::no_resource,
+                       "managed module '" + name + "' still starting");
+  }
+  Managed m = std::move(it->second);
+  if (reserve) {
+    it->second = Managed{};
+    it->second.starting = true;
+  } else {
+    modules_.erase(it);
+  }
+  return m;
+}
+
+ntcs::Result<core::UAdd> ProcessController::launch(const std::string& name,
+                                                   Managed m) {
+  auto uadd = m.node->commod().register_self(m.attrs);
+  if (uadd) {
+    m.node->run([node = m.node.get(), fn = m.fn](std::stop_token st) {
+      fn(*node, std::move(st));
+    });
+  } else {
+    m.node.reset();  // stopped with the table lock released
+  }
+  ntcs::LockGuard lk(mu_);
+  if (uadd) {
+    modules_[name] = std::move(m);
+  } else {
+    modules_.erase(name);
+  }
   return uadd;
 }
 
@@ -48,42 +68,25 @@ ntcs::Result<core::UAdd> ProcessController::spawn(
       return ntcs::Error(ntcs::Errc::already_exists,
                          "managed module '" + name + "' already running");
     }
-    Managed placeholder;
-    placeholder.starting = true;
-    modules_[name] = std::move(placeholder);
+    modules_[name].starting = true;
+  }
+  auto node = tb_.make_node(name, machine, net);
+  if (!node) {
+    ntcs::LockGuard lk(mu_);
+    modules_.erase(name);
+    return node.error();
   }
   Managed m;
+  m.node = std::move(node.value());
   m.attrs = attrs;
   m.fn = std::move(fn);
-  auto uadd = start_managed(m, name, machine, net);
-  ntcs::LockGuard lk(mu_);
-  if (!uadd) {
-    modules_.erase(name);
-    return uadd;
-  }
-  modules_[name] = std::move(m);
-  return uadd;
+  return launch(name, std::move(m));
 }
 
 ntcs::Status ProcessController::kill(const std::string& name) {
-  Managed victim;
-  {
-    ntcs::LockGuard lk(mu_);
-    auto it = modules_.find(name);
-    if (it == modules_.end()) {
-      return ntcs::Status(ntcs::Errc::not_found,
-                          "no managed module '" + name + "'");
-    }
-    if (it->second.starting) {
-      return ntcs::Status(ntcs::Errc::no_resource,
-                          "managed module '" + name + "' still starting");
-    }
-    victim = std::move(it->second);
-    modules_.erase(it);
-  }
-  victim.service.request_stop();
-  victim.node->stop();  // close queue -> service loop drains and exits
-  if (victim.service.joinable()) victim.service.join();
+  auto victim = take(name, /*reserve=*/false);
+  if (!victim) return victim.error();
+  victim.value().node->stop();  // closes the queue; the service is joined
   return ntcs::Status::success();
 }
 
@@ -91,23 +94,18 @@ ntcs::Result<core::UAdd> ProcessController::relocate(
     const std::string& name, const std::string& new_machine,
     const std::string& new_net) {
   // "allow the replacement, removal or addition of modules while the
-  // system is in operation" (§1.3). Kill first, then respawn under the
-  // same name: in-flight conversations fault, the naming service maps the
-  // old UAdd to this newer module, and traffic resumes (§3.5).
-  core::nsp::AttrMap attrs;
-  ServiceFn fn;
-  {
-    ntcs::LockGuard lk(mu_);
-    auto it = modules_.find(name);
-    if (it == modules_.end()) {
-      return ntcs::Error(ntcs::Errc::not_found,
-                         "no managed module '" + name + "'");
-    }
-    attrs = it->second.attrs;
-    fn = it->second.fn;
-  }
-  if (auto st = kill(name); !st.ok()) return st.error();
-  return spawn(name, new_machine, new_net, attrs, std::move(fn));
+  // system is in operation" (§1.3). The replacement starts first, so a
+  // relocation that cannot place the module leaves the old incarnation
+  // serving. Then the old one is killed and the new one registered under
+  // the same name: in-flight conversations fault, the naming service maps
+  // the old UAdd to this newer module, and traffic resumes (§3.5).
+  auto node = tb_.make_node(name, new_machine, new_net);
+  if (!node) return node.error();
+  auto m = take(name, /*reserve=*/true);
+  if (!m) return m.error();
+  m.value().node->stop();
+  m.value().node = std::move(node.value());
+  return launch(name, std::move(m.value()));
 }
 
 core::Node* ProcessController::find(const std::string& name) {
@@ -123,27 +121,11 @@ std::size_t ProcessController::module_count() const {
 
 ServiceFn make_echo_service(std::string prefix) {
   return [prefix = std::move(prefix)](core::Node& node, std::stop_token st) {
-    while (!st.stop_requested()) {
-      auto in = node.commod().receive(100ms);
-      if (!in) {
-        if (in.code() == ntcs::Errc::timeout) continue;
-        break;
-      }
-      if (in.value().is_request) {
-        ntcs::Bytes out = ntcs::to_bytes(prefix);
-        ntcs::append(out, in.value().payload);
-        (void)node.commod().reply(in.value().reply_ctx, out);
-      }
-    }
-  };
-}
-
-ServiceFn make_sink_service() {
-  return [](core::Node& node, std::stop_token st) {
-    while (!st.stop_requested()) {
-      auto in = node.commod().receive(100ms);
-      if (!in && in.code() != ntcs::Errc::timeout) break;
-    }
+    node.commod().serve(st, [&prefix](const core::Incoming& in) {
+      ntcs::Bytes out = ntcs::to_bytes(prefix);
+      ntcs::append(out, in.payload);
+      return out;
+    });
   };
 }
 

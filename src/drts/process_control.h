@@ -3,24 +3,26 @@
 // "On top of both the NTCS and the native operating system at each
 // machine, various DRTS services have been added as required" — process
 // control being the first the paper names. The controller spawns managed
-// modules (a Node plus a service loop), kills them, and — the URSA testbed
-// requirement — *relocates* them: kill on one machine, respawn on another
-// under the same logical name, whereupon the naming service's forwarding
-// determination (§3.5) steers every old UAdd to the new incarnation.
+// modules (a Node running a service loop on its service thread), kills
+// them, and — the URSA testbed requirement — *relocates* them: start a
+// replacement on another machine, kill the old incarnation, and register
+// the new one under the same logical name, whereupon the naming service's
+// forwarding determination (§3.5) steers every old UAdd to it.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <memory>
-#include <thread>
+#include <stop_token>
 
 #include "common/annotated.h"
 #include "core/testbed.h"
 
 namespace ntcs::drts {
 
-/// The body of a managed module: a server loop reading from the Node's
-/// ComMod until stop is requested.
+/// The body of a managed module, run on its Node's service thread
+/// (Node::run): a server loop reading from the Node's ComMod until stop
+/// is requested — usually ComMod::serve.
 using ServiceFn = std::function<void(core::Node&, std::stop_token)>;
 
 class ProcessController {
@@ -42,7 +44,8 @@ class ProcessController {
   ntcs::Status kill(const std::string& name);
 
   /// Dynamic reconfiguration (§3.5): move a module to another machine
-  /// "while the system is in operation". Returns the new UAdd.
+  /// "while the system is in operation". Returns the new UAdd. If the
+  /// replacement cannot be started, the old incarnation keeps serving.
   ntcs::Result<core::UAdd> relocate(const std::string& name,
                                     const std::string& new_machine,
                                     const std::string& new_net);
@@ -55,18 +58,20 @@ class ProcessController {
  private:
   struct Managed {
     std::unique_ptr<core::Node> node;
-    std::jthread service;
     core::nsp::AttrMap attrs;
     ServiceFn fn;
-    // True while spawn() is starting this module outside the table lock
-    // (the slot reserves the name; node is still null). kill()/relocate()
+    // True while spawn()/relocate() start this module outside the table
+    // lock (the slot reserves the name; node is null). kill()/relocate()
     // refuse mid-start modules instead of dereferencing the placeholder.
     bool starting = false;
   };
 
-  ntcs::Result<core::UAdd> start_managed(Managed& m, const std::string& name,
-                                         const std::string& machine,
-                                         const std::string& net);
+  /// Move `name`'s module out of the table; a placeholder keeps the name
+  /// reserved when `reserve` is set.
+  ntcs::Result<Managed> take(const std::string& name, bool reserve);
+  /// Register `m`'s started node, run its service and publish it in the
+  /// name's reserved slot (or free the slot on failure).
+  ntcs::Result<core::UAdd> launch(const std::string& name, Managed m);
 
   core::Testbed& tb_;
   // Outermost rank of the whole tree: registration state is mutated under
@@ -77,8 +82,8 @@ class ProcessController {
   std::map<std::string, Managed> modules_ GUARDED_BY(mu_);
 };
 
-/// Ready-made service loops for tests, benches and examples.
+/// Ready-made service loop for tests, benches and examples: replies to
+/// every request with `prefix` + its payload.
 ServiceFn make_echo_service(std::string prefix = "echo:");
-ServiceFn make_sink_service();
 
 }  // namespace ntcs::drts

@@ -14,39 +14,21 @@ TimeServer::TimeServer(core::NodeConfig cfg) {
 TimeServer::~TimeServer() { stop(); }
 
 ntcs::Status TimeServer::start() {
-  if (running_) return ntcs::Status::success();
+  if (node_->running()) return ntcs::Status::success();
   if (auto st = node_->start(); !st.ok()) return st;
   auto uadd = node_->commod().register_self({{"role", "time"}});
   if (!uadd) return uadd.error();
-  server_ = std::jthread([this](std::stop_token st) { serve(st); });
-  running_ = true;
+  node_->run([this](std::stop_token st) {
+    node_->commod().serve(st, [this](const core::Incoming&) {
+      // The answer is this machine's local clock — skew included; that is
+      // precisely what the client corrects for.
+      convert::Packer p;
+      p.put_i64(node_->now().count());
+      served_.fetch_add(1);
+      return std::move(p).take();
+    });
+  });
   return ntcs::Status::success();
-}
-
-void TimeServer::stop() {
-  if (!running_) return;
-  running_ = false;
-  server_.request_stop();
-  node_->stop();
-  if (server_.joinable()) server_.join();
-}
-
-void TimeServer::serve(const std::stop_token& st) {
-  while (!st.stop_requested()) {
-    auto in = node_->lcm().receive(100ms);
-    if (!in) {
-      if (in.code() == ntcs::Errc::timeout) continue;
-      break;
-    }
-    if (!in.value().is_request) continue;
-    // The answer is this machine's local clock — skew included; that is
-    // precisely what the client corrects for.
-    convert::Packer p;
-    p.put_i64(node_->now().count());
-    served_.fetch_add(1);
-    (void)node_->lcm().reply(in.value().reply_ctx,
-                             core::Payload::raw(std::move(p).take()));
-  }
 }
 
 TimeClient::TimeClient(core::Node& node) : node_(node) {}

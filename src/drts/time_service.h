@@ -16,7 +16,6 @@
 
 #include <atomic>
 #include <memory>
-#include <thread>
 
 #include "core/node.h"
 
@@ -34,19 +33,15 @@ class TimeServer {
 
   /// Start and register as "time-service" (attrs: role=time).
   ntcs::Status start();
-  void stop();
+  void stop() { node_->stop(); }
 
   core::Node& node() { return *node_; }
   std::uint64_t requests_served() const { return served_.load(); }
 
  private:
-  void serve(const std::stop_token& st);
-
   std::unique_ptr<core::Node> node_;
-  std::jthread server_;
   // sync: stat counter, relaxed — read by tests after join.
   std::atomic<std::uint64_t> served_{0};
-  bool running_ = false;
 };
 
 class TimeClient {

@@ -9,31 +9,21 @@ namespace ursa {
 
 using namespace std::chrono_literals;
 using ntcs::core::Node;
-using ntcs::core::Payload;
 using ntcs::core::UAdd;
 
 namespace {
 
-/// Shared skeleton: pop requests, dispatch to `handle`, reply.
+/// Serve URSA requests on `node`: each is decoded for `handle`, and a
+/// malformed one is answered with bad_message.
 template <typename Handler>
-void serve_loop(Node& node, std::stop_token st, Handler&& handle) {
-  while (!st.stop_requested()) {
-    auto in = node.commod().receive(100ms);
-    if (!in) {
-      if (in.code() == ntcs::Errc::timeout) continue;
-      break;
-    }
-    if (!in.value().is_request) continue;
-    auto req = decode_request(in.value().payload);
-    ntcs::Bytes response;
+void serve_requests(Node& node, const std::stop_token& st, Handler&& handle) {
+  node.commod().serve(st, [&](const ntcs::core::Incoming& in) -> ntcs::Bytes {
+    auto req = decode_request(in.payload);
     if (!req) {
-      response =
-          encode_error(ntcs::Errc::bad_message, req.error().to_string());
-    } else {
-      response = handle(node, req.value());
+      return encode_error(ntcs::Errc::bad_message, req.error().to_string());
     }
-    (void)node.commod().reply(in.value().reply_ctx, response);
-  }
+    return handle(req.value());
+  });
 }
 
 }  // namespace
@@ -41,7 +31,7 @@ void serve_loop(Node& node, std::stop_token st, Handler&& handle) {
 ntcs::drts::ServiceFn make_index_service(std::shared_ptr<InvertedIndex> idx) {
   auto served = std::make_shared<std::uint64_t>(0);
   return [idx = std::move(idx), served](Node& node, std::stop_token st) {
-    serve_loop(node, st, [&](Node&, const Request& req) -> ntcs::Bytes {
+    serve_requests(node, st, [&](const Request& req) -> ntcs::Bytes {
       ++*served;
       switch (req.op) {
         case Op::postings:
@@ -77,7 +67,7 @@ ntcs::drts::ServiceFn make_doc_service(std::shared_ptr<Corpus> corpus) {
   return [corpus = std::move(corpus), store](Node& node,
                                              std::stop_token st) {
     if (store->next_id == 0) store->next_id = corpus->size() + 1;
-    serve_loop(node, st, [&](Node&, const Request& req) -> ntcs::Bytes {
+    serve_requests(node, st, [&](const Request& req) -> ntcs::Bytes {
       ++store->served;
       switch (req.op) {
         case Op::get_doc: {
@@ -118,8 +108,8 @@ ntcs::drts::ServiceFn make_search_service() {
     std::uint64_t corpus_docs = 0;  // cached from the index server's stats
   };
   auto state = std::make_shared<State>();
-  return [state](Node& node, std::stop_token st) {
-    serve_loop(node, st, [&](Node& n, const Request& req) -> ntcs::Bytes {
+  return [state](Node& n, std::stop_token st) {
+    serve_requests(n, st, [&](const Request& req) -> ntcs::Bytes {
       ++state->served;
       switch (req.op) {
         case Op::search: {
@@ -132,14 +122,21 @@ ntcs::drts::ServiceFn make_search_service() {
             state->index = located.value();
           }
           if (state->corpus_docs == 0) {
-            // The idf weights need the corpus size, fetched once.
+            // The idf weights need the corpus size, fetched once it can
+            // be: a failed fetch fails this search, and the next retries.
             auto reply = n.commod().request(state->index,
                                             encode_stats_request(), 3s);
-            if (reply) {
-              auto stats = decode_stats_response(reply.value().payload);
-              if (stats) state->corpus_docs = stats.value().doc_count;
+            if (!reply) {
+              return encode_error(reply.error().code(),
+                                  "index stats failed: " +
+                                      reply.error().to_string());
             }
-            if (state->corpus_docs == 0) state->corpus_docs = 1;
+            auto stats = decode_stats_response(reply.value().payload);
+            if (!stats) {
+              return encode_error(stats.error().code(),
+                                  stats.error().to_string());
+            }
+            state->corpus_docs = stats.value().doc_count;
           }
           const Query q = parse_query(req.query);
           std::map<std::string, std::vector<Posting>> postings;

@@ -2,6 +2,7 @@
 // control, error log — including the §6.1 recursion scenario.
 #include <gtest/gtest.h>
 
+#include "common/health.h"
 #include "common/metrics.h"
 #include "core/testbed.h"
 #include "drts/error_log.h"
@@ -354,9 +355,9 @@ TEST(ProcessControl, SpawnKillLifecycle) {
 TEST(ProcessControl, DuplicateSpawnRejected) {
   Rig rig;
   ProcessController pc(rig.tb);
-  ASSERT_TRUE(pc.spawn("solo", "sun1", "lan", {}, make_sink_service()).ok());
+  ASSERT_TRUE(pc.spawn("solo", "sun1", "lan", {}, make_echo_service()).ok());
   EXPECT_EQ(
-      pc.spawn("solo", "vax1", "lan", {}, make_sink_service()).code(),
+      pc.spawn("solo", "vax1", "lan", {}, make_echo_service()).code(),
       Errc::already_exists);
 }
 
@@ -404,6 +405,43 @@ TEST(ProcessControl, RelocationPreservesArchSensitivity) {
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(to_string(reply.value().payload), "echo:b");
   client->stop();
+}
+
+TEST(ProcessControl, FailedRelocationLeavesServiceRunning) {
+  // The replacement is started before the original is killed: a
+  // relocation that cannot place the module must not take it down.
+  Rig rig;
+  ProcessController pc(rig.tb);
+  auto orig = pc.spawn("svc", "sun1", "lan", {}, make_echo_service());
+  ASSERT_TRUE(orig.ok());
+  auto client = rig.tb.spawn_module("c", "vax1", "lan").value();
+  auto addr = client->commod().locate("svc").value();
+
+  EXPECT_FALSE(pc.relocate("svc", "no-such-machine", "lan").ok());
+  EXPECT_NE(pc.find("svc"), nullptr);
+  EXPECT_EQ(pc.module_count(), 1u);
+  auto reply = client->commod().request(addr, to_bytes("still"), 2s);
+  ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+  EXPECT_EQ(to_string(reply.value().payload), "echo:still");
+  EXPECT_EQ(client->commod().locate("svc").value(), orig.value());
+  client->stop();
+}
+
+TEST(ProcessControl, RelocatedModulesPumpStaysWatched) {
+  // The replacement's pump starts before the original stops, and both
+  // beat the same `pump.<name>` heartbeat: the original's clean stop must
+  // not leave the new pump unwatched.
+  Rig rig;
+  ProcessController pc(rig.tb);
+  ASSERT_TRUE(pc.spawn("svc", "sun1", "lan", {}, make_echo_service()).ok());
+  ASSERT_TRUE(pc.relocate("svc", "apollo1", "lan").ok());
+  std::this_thread::sleep_for(200ms);  // a few pump iterations
+  const auto rep = health::HealthRegistry::instance().check_now();
+  for (const char* name : {"pump.svc", "serve.svc"}) {
+    const auto* l = rep.find(name);
+    ASSERT_NE(l, nullptr) << name << " is not watched: " << rep.to_string();
+    EXPECT_EQ(l->state, health::HealthState::ok) << l->evidence;
+  }
 }
 
 TEST(ErrorLog, AccumulatesReports) {

@@ -2,6 +2,7 @@
 // limits, relocation behaviour, and concurrent clients.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include "core/testbed.h"
@@ -157,6 +158,29 @@ TEST(FileService, ConcurrentClients) {
   ASSERT_TRUE(data.ok());
   EXPECT_EQ(data.value().size(), 100u);  // all appends applied exactly once
   node2->stop();
+}
+
+TEST(FileService, DestroyedWhileAClientKeepsRequesting) {
+  // The server's destructor stops its node, joining the service thread
+  // before the file table it serves goes away (checked under ASan).
+  Rig rig;
+  ASSERT_TRUE(rig.fs->write("/f", to_bytes("data")).ok());
+  std::atomic<bool> done{false};
+  std::atomic<int> served{0};
+  std::jthread client([&] {
+    while (!done) {
+      if (rig.fs->stat("/f").ok()) ++served;
+    }
+  });
+  for (int spin = 0; spin < 200 && served < 10; ++spin) {
+    std::this_thread::sleep_for(5ms);
+  }
+  EXPECT_GE(served, 10);
+  rig.server.reset();
+  std::this_thread::sleep_for(100ms);
+  done = true;
+  client.join();
+  EXPECT_FALSE(rig.fs->stat("/f").ok());
 }
 
 TEST(FileService, UrsaDocumentsOnFileService) {

@@ -398,7 +398,7 @@ TEST(HealthHarvest, QueryHealthAndJournalOverTheNtcs) {
   EXPECT_EQ(l->state, health::HealthState::stalled);
   EXPECT_NE(l->evidence.find("no heartbeat"), std::string::npos);
   // The serve loop itself heartbeats and reads healthy in the same report.
-  const auto* mon_l = rep.value().find("drts.monitor");
+  const auto* mon_l = rep.value().find("serve.monitor");
   ASSERT_NE(mon_l, nullptr);
   EXPECT_EQ(mon_l->state, health::HealthState::ok);
   hb.retire();

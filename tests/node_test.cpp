@@ -1,6 +1,9 @@
 // Tests for Node assembly/lifecycle (S10 glue) and Testbed misuse paths.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "core/testbed.h"
 
 namespace ntcs::core {
@@ -21,6 +24,46 @@ TEST(Node, StartIsIdempotent) {
   node->stop();
   EXPECT_FALSE(node->running());
   node->stop();  // second stop: no-op
+}
+
+TEST(Node, StopJoinsAServiceBlockedInANestedRequest) {
+  // The URSA search shape: a handler blocked in a nested request with a
+  // long timeout. stop() must fail that wait, not sit it out.
+  Testbed tb;
+  tb.net("lan");
+  tb.machine("m1", Arch::vax780, {"lan"});
+  tb.machine("m2", Arch::sun3, {"lan"});
+  ASSERT_TRUE(tb.start_name_server("m1", "lan").ok());
+  ASSERT_TRUE(tb.finalize().ok());
+  auto srv = tb.spawn_module("srv", "m1", "lan").value();
+  auto mute = tb.spawn_module("mute", "m2", "lan").value();  // never replies
+  auto cli = tb.spawn_module("cli", "m2", "lan").value();
+  const UAdd mute_addr = srv->commod().locate("mute").value();
+
+  std::atomic<bool> entered{false};
+  Errc nested = Errc::ok;  // written by the service thread, read after join
+  srv->run([&](std::stop_token st) {
+    srv->commod().serve(st, [&](const Incoming&) {
+      entered = true;
+      auto r = srv->commod().request(mute_addr, to_bytes("wait"), 10s);
+      nested = r.code();
+      return Bytes{};
+    });
+  });
+  auto ticket = cli->commod().request_async(
+      cli->commod().locate("srv").value(), to_bytes("go"), 15s);
+  ASSERT_TRUE(ticket.ok());
+  for (int spin = 0; spin < 200 && !entered; ++spin) {
+    std::this_thread::sleep_for(10ms);
+  }
+  ASSERT_TRUE(entered);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  srv->stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 1s);
+  EXPECT_NE(nested, Errc::ok);
+  cli->stop();
+  mute->stop();
 }
 
 TEST(Node, IdentityStartsTemporary) {

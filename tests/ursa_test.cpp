@@ -338,6 +338,34 @@ TEST(UrsaSystem, IndexServerRelocationMidSession) {
   EXPECT_EQ(before.value(), after.value());
 }
 
+TEST(UrsaSystem, SearchAfterIndexOutageUsesCorpusSize) {
+  // The search server caches the corpus size for its idf weights. A stats
+  // fetch that fails during an index outage must not be cached: once the
+  // index is back, scores are tf·idf over the real corpus size, as in
+  // SearchResultsMatchLocalIndex.
+  UrsaRig rig;
+  UrsaHost host(*rig.host_node);
+  ASSERT_TRUE(host.connect().ok());
+  const std::string term = rig.corpus->vocabulary()[3];
+  ASSERT_TRUE(rig.pc.kill(std::string(kIndexServerName)).ok());
+  EXPECT_FALSE(host.search(term, 1000).ok());
+
+  auto index = std::make_shared<InvertedIndex>();
+  index->add_corpus(*rig.corpus);
+  ASSERT_TRUE(rig.pc.spawn(std::string(kIndexServerName), "sun1", "lan-b",
+                           {{"role", "index"}}, make_index_service(index))
+                  .ok());
+  auto hits = host.search(term, 1000);
+  ASSERT_TRUE(hits.ok()) << hits.error().to_string();
+  const auto& expected = index->postings(term);
+  ASSERT_EQ(hits.value().size(), expected.size());
+  const double w = idf(rig.corpus->size(), expected.size());
+  double total_remote = 0, total_local = 0;
+  for (const auto& h : hits.value()) total_remote += h.score;
+  for (const auto& p : expected) total_local += p.tf * w;
+  EXPECT_NEAR(total_remote, total_local, 1e-9);
+}
+
 TEST(UrsaSystem, DynamicDocumentAdditionIsSearchable) {
   // §1.2: the testbed must support modifying the system while in
   // operation — here at the application level: a document added at run
