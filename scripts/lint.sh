@@ -268,6 +268,7 @@ echo "== lint: lease-cache isolation grep gate =="
 # them.
 violations=$(grep -rn \
   -e 'lease_cache_' \
+  -e 'lease_names_' \
   -e 'shard_epochs_' \
   -e 'lease_mu_' \
   src/ --include='*.h' --include='*.cpp' \

@@ -15,9 +15,11 @@
 #    scopes created, summed and folded while snapshots race them. Then the
 #    services suites (label `services`: ComMod::serve, the node-owned
 #    service thread and every server on them) in the normal build, then
-#    repeated under TSan. Then the trace suite (ctest label `trace`) in
-#    the normal build, then repeated under TSan: the span ring's lock-free
-#    writers vs. snapshot readers.
+#    repeated under TSan. Then the reconfiguration suites (label
+#    `reconfig`: relocation recovery, leases, replicas, circuit deaths) in
+#    the normal build, then repeated under TSan. Then the trace suite
+#    (ctest label `trace`) in the normal build, then repeated under TSan:
+#    the span ring's lock-free writers vs. snapshot readers.
 # 6. Realnet stage: the STD-IF conformance labels (`nd`, `realnet`) plus
 #    the realnet half of the parameterized integration suite, normal build
 #    and TSan — real listener/reader threads over real loopback sockets.
@@ -104,6 +106,16 @@ cmake --build "$TSAN_DIR" -j"$(nproc)" --target commod_test node_test \
 ctest --test-dir "$BUILD_DIR" -j"$(nproc)" --output-on-failure -L services
 ctest --test-dir "$TSAN_DIR" -j"$(nproc)" --output-on-failure \
   -L services --repeat until-fail:3
+
+# Reconfiguration stage (label `reconfig`): the LCM's §3.5 recovery, the
+# lease cache and the forwarding query, replicas, circuits dying under
+# requests. Once in the normal build, then repeated under TSan: a pump's
+# ivc_closed races the sender's decision to ask the naming service first.
+cmake --build "$TSAN_DIR" -j"$(nproc)" --target lcm_test nsp_test \
+  replica_test failure_test
+ctest --test-dir "$BUILD_DIR" -j"$(nproc)" --output-on-failure -L reconfig
+ctest --test-dir "$TSAN_DIR" -j"$(nproc)" --output-on-failure \
+  -L reconfig --repeat until-fail:3
 
 # Tracing suite (label `trace`): the wire round trip, the span ring, the
 # gateway-chain span chain and the chaos-harvest acceptance — once in the

@@ -222,13 +222,13 @@ void LcmLayer::set_error_hook(ErrorHook e) {
 void LcmLayer::preload_well_known(const WellKnownTable& wk) {
   ntcs::LockGuard lk(mu_);
   if (wk.name_server_phys.valid()) {
-    NsCandidateSet set;
+    CandidateSet set;
     set.dests.push_back(
         ResolvedDest{kNameServerUAdd, wk.name_server_phys, wk.name_server_net});
     for (const NsReplicaInfo& rep : wk.name_server_replicas) {
       set.dests.push_back(ResolvedDest{kNameServerUAdd, rep.phys, rep.net});
     }
-    ns_candidates_[kNameServerUAdd] = std::move(set);
+    candidates_[kNameServerUAdd] = std::move(set);
   }
   // Sharded naming service: one candidate set per shard UAdd (primary
   // first, warm standby second). The shard entry for UAdd 1 supersedes
@@ -237,14 +237,14 @@ void LcmLayer::preload_well_known(const WellKnownTable& wk) {
     const NsShardInfo& sh = wk.shards[s];
     if (!sh.primary_phys.valid()) continue;
     const UAdd u = ns_shard_uadd(s);
-    NsCandidateSet set;
+    CandidateSet set;
     set.dests.push_back(ResolvedDest{u, sh.primary_phys, sh.primary_net});
     if (sh.standby_phys.valid()) {
       set.dests.push_back(ResolvedDest{u, sh.standby_phys, sh.standby_net});
     }
-    ns_candidates_[u] = std::move(set);
+    candidates_[u] = std::move(set);
   }
-  for (auto& [u, set] : ns_candidates_) {
+  for (auto& [u, set] : candidates_) {
     if (set.dests.empty()) continue;
     set.idx = 0;
     resolved_cache_[u] = set.dests.front();
@@ -263,6 +263,8 @@ void LcmLayer::preload_well_known(const WellKnownTable& wk) {
 void LcmLayer::cache_destination(UAdd uadd, ResolvedDest dest) {
   ntcs::LockGuard lk(mu_);
   ip_.nd().cache_phys(uadd, dest.phys);
+  // A Name Server's own shard UAdd keeps its well-known candidates.
+  candidates_.try_emplace(uadd, CandidateSet{{dest}, 0});
   resolved_cache_[uadd] = std::move(dest);
 }
 
@@ -285,8 +287,16 @@ LcmLayer::Route LcmLayer::route_locked(UAdd dst) {
   if (it != conns_.end()) {
     r.h = it->second;
     r.have = true;
+  } else {
+    r.closed =
+        reconnect_pending_.count(r.cur) != 0 && asks_first_locked(r.cur);
   }
   return r;
+}
+
+bool LcmLayer::asks_first_locked(UAdd cur) const {
+  return !cur.is_temporary() && cur.raw() >= kFirstDynamicUAdd &&
+         resolver_ != nullptr && candidates_.count(cur) == 0;
 }
 
 ntcs::Result<ResolvedDest> LcmLayer::resolved_for(UAdd dst) {
@@ -362,11 +372,14 @@ ntcs::Result<IvcHandle> LcmLayer::send_message(UAdd dst, wire::LcmKind kind,
   // would be a heap allocation on every send.
   ntcs::Error last(ntcs::Errc::address_fault);
   ntcs::Backoff backoff(cfg_.fault_backoff);
+  // The previous attempt's open or send failed, and this one goes back to
+  // the same target.
+  bool repeat = false;
   for (int attempt = 0; attempt <= fault_retries; ++attempt) {
-    if (attempt != 0) {
-      // Pace the §3.5 recovery loop: the destination may be mid-move or
-      // behind a flapping link, and an instant reconnect mostly re-runs
-      // into the same fault.
+    if (repeat) {
+      // Pace a repeat: the destination may be behind a flapping link or a
+      // failing-over Name Server, and an instant retry mostly re-runs into
+      // the same fault. A retry toward a successor goes at once.
       fault_backoffs_.inc();
       health::journal_note(health::EventKind::retry, "lcm", "fault_retry",
                            static_cast<std::uint64_t>(attempt));
@@ -384,6 +397,7 @@ ntcs::Result<IvcHandle> LcmLayer::send_message(UAdd dst, wire::LcmKind kind,
       }
       std::this_thread::sleep_for(delay);
     }
+    repeat = false;
     Route route;
     if (attempt == 0 && first != nullptr) {
       route = *first;
@@ -394,10 +408,13 @@ ntcs::Result<IvcHandle> LcmLayer::send_message(UAdd dst, wire::LcmKind kind,
     const UAdd cur = route.cur;
 
     // Establish (or reuse) the circuit — "with the underlying IVCs being
-    // established as needed".
+    // established as needed". A circuit that closed under a minted UAdd is
+    // already the §3.5 address fault: the handler below asks where the
+    // module went before anything reopens the address it may have left.
     IvcHandle h = route.h;
     bool have = route.have;
-    if (!have) {
+    bool closed = route.closed;
+    if (!have && !closed) {
       auto rd = resolved_for(cur);
       if (!rd) {
         last = rd.error();
@@ -414,12 +431,13 @@ ntcs::Result<IvcHandle> LcmLayer::send_message(UAdd dst, wire::LcmKind kind,
           if (last.code() == ntcs::Errc::no_route) return last;
           // Address fault during establishment: fall through to the fault
           // handler below.
+          repeat = true;
         } else {
           h = opened.value();
           have = true;
           // A reconnect is any re-establishment toward a destination we
-          // already had a circuit to: either this very send failed on the
-          // stale handle (attempt > 0), or the ivc_closed notification got
+          // already had a circuit to: either an earlier attempt of this
+          // send faulted (attempt > 0), or the ivc_closed notification got
           // here first and left the destination in reconnect_pending_.
           bool reconnected = attempt > 0;
           {
@@ -470,6 +488,7 @@ ntcs::Result<IvcHandle> LcmLayer::send_message(UAdd dst, wire::LcmKind kind,
       if (st.ok()) return h;
       last = st.error();
       if (last.code() == ntcs::Errc::too_big) return last;
+      repeat = true;
     }
 
     // ---- address-fault handler (§3.5) --------------------------------
@@ -478,11 +497,18 @@ ntcs::Result<IvcHandle> LcmLayer::send_message(UAdd dst, wire::LcmKind kind,
     ErrorHook error_hook;
     {
       ntcs::LockGuard lk(mu_);
-      conns_.erase(cur);
-      resolved_cache_.erase(cur);
+      // A send that failed on its circuit found it closed, too.
+      if (have) closed = asks_first_locked(cur);
+      // Only the circuit that failed: a concurrent sender may have opened
+      // a fresh one since.
+      auto cit = conns_.find(cur);
+      if (cit != conns_.end() && cit->second == h) conns_.erase(cit);
+      // A closed circuit keeps the address it ran to until the answer
+      // names a successor: any other answer reopens it.
+      if (!closed) resolved_cache_.erase(cur);
       error_hook = error_hook_;
     }
-    ip_.nd().uncache_phys(cur);
+    if (!closed) ip_.nd().uncache_phys(cur);
     log_.debug("address fault toward " + cur.to_string() + ": " +
                last.to_string());
     if (error_hook && !opts.internal) {
@@ -498,21 +524,20 @@ ntcs::Result<IvcHandle> LcmLayer::send_message(UAdd dst, wire::LcmKind kind,
       // — which also "should not know of the Name Server" — breaks the
       // loop by never consulting the naming service about the naming
       // service; the well-known physical addresses are authoritative.
-      // Re-install a well-known entry so the reconnect can proceed
-      // without a resolver — rotating to the shard's next candidate
-      // (primary, then standby/replicas) on each fault. This rotation IS
-      // the shard failover: a dead primary faults, the retry lands on the
-      // warm standby, whose first write-triggered promotion makes it the
-      // new primary.
+      // Re-install a pinned entry so the reconnect can proceed without a
+      // resolver — rotating to the shard's next candidate (primary, then
+      // standby/replicas) on each fault. This rotation IS the shard
+      // failover: a dead primary faults, the retry lands on the warm
+      // standby, whose first write-triggered promotion makes it the new
+      // primary. A replica link has one candidate, its only address.
       bool rotated = false;
       {
         ntcs::LockGuard lk(mu_);
-        auto nsit = ns_candidates_.find(cur);
-        if (nsit != ns_candidates_.end() && !nsit->second.dests.empty()) {
-          if (attempt > 0) ++nsit->second.idx;
-          const ResolvedDest& cand =
-              nsit->second.dests[nsit->second.idx %
-                                 nsit->second.dests.size()];
+        auto cand_it = candidates_.find(cur);
+        if (cand_it != candidates_.end() && !cand_it->second.dests.empty()) {
+          CandidateSet& set = cand_it->second;
+          if (attempt > 0) ++set.idx;
+          const ResolvedDest& cand = set.dests[set.idx % set.dests.size()];
           resolved_cache_[cur] = cand;
           ip_.nd().cache_phys(cur, cand.phys);
           rotated = true;
@@ -534,10 +559,26 @@ ntcs::Result<IvcHandle> LcmLayer::send_message(UAdd dst, wire::LcmKind kind,
     auto fwd = resolver->forward(cur);  // recursive naming-service call
     if (fwd) {
       relocations_.inc();
-      ntcs::LockGuard lk(mu_);
-      forwards_[cur] = fwd.value();
+      {
+        ntcs::LockGuard lk(mu_);
+        forwards_[cur] = fwd.value();
+        reconnect_pending_.erase(cur);
+        resolved_cache_.erase(cur);
+      }
+      ip_.nd().uncache_phys(cur);
       log_.info("relocated " + cur.to_string() + " -> " +
                 fwd.value().to_string());
+      repeat = false;  // the retry opens the successor
+      continue;
+    }
+    if (closed) {
+      // No successor named. The module may live (still_alive, or a naming
+      // service that cannot be reached or cannot tell), or it may have died
+      // before its successor registered: reopen the address the circuit
+      // ran to, "exactly as during an initial connection" (§3.5). Only an
+      // open that fails there makes a not_found final.
+      ntcs::LockGuard lk(mu_);
+      reconnect_pending_.erase(cur);
       continue;
     }
     if (fwd.code() == ntcs::Errc::still_alive) {
@@ -1064,8 +1105,10 @@ void LcmLayer::on_ip_event(const IpEvent& ev) {
           if (!st.ok() && st.code() == ntcs::Errc::no_resource) {
             // Bounded queue full: shed the request and tell the sender so
             // with a busy reply — it pauses admission toward us instead of
-            // retrying, and its caller gets the retriable overloaded.
+            // retrying, and its caller gets the retriable overloaded. The
+            // reply counts as it is issued, in step with the shed.
             shed_.inc();
+            busy_frames_.inc();
             health::journal_note(health::EventKind::shed, "lcm", "shed_req",
                                  cfg_.max_inbound_queue);
             if (trace::enabled() && tctx.valid()) {
@@ -1081,9 +1124,7 @@ void LcmLayer::on_ip_event(const IpEvent& ev) {
             bh.src_arch = convert::arch_wire_id(identity_->arch());
             wire::HeaderBuf head;
             head.push_lcm(bh);
-            if (ip_.send(ev.via, head, {}).ok()) {
-              busy_frames_.inc();
-            }
+            (void)ip_.send(ev.via, head, {});
           }
           return;
         }

@@ -8,11 +8,21 @@
 // directly to/from the desired destinations, with the underlying IVCs
 // being established as needed."
 //
-// The address-fault path (§3.5): a failed send closes the circuit; the
-// LCM-Layer consults its local forwarding-address table, then the
-// NSP-Layer (an address-fault handler querying the naming service for a
-// forwarding UAdd), installs the new mapping, re-establishes the circuit
-// exactly as an initial connection, and resends.
+// The address-fault path (§3.5): a failed open, or a circuit that closed
+// under a destination (seen by the close event or by a send failing on
+// it), is an address fault. The LCM-Layer consults its local
+// forwarding-address table, then the NSP-Layer (an address-fault handler
+// querying the naming service for a forwarding UAdd), installs the new
+// mapping, re-establishes the circuit exactly as an initial connection,
+// and resends. For a UAdd the naming service minted, a closed circuit
+// asks first: the forwarding query precedes any reopen, so a relocated
+// module costs one forward, one resolve and one open — never a round of
+// open retries against the address it left. Any answer but a successor
+// reopens the cached address as before. Only a retry that repeats a
+// failed open or send toward the same target is paced by the fault
+// backoff. Well-known destinations (the Name Server, its shards and
+// standbys, replica links, prime gateways) never ask first; the Name
+// Server's own are never asked about at all (§6.3).
 //
 // This layer also hosts the two recursion hooks of §6.1 — the distributed
 // time stamp taken on every monitored send, and the monitor record emitted
@@ -204,7 +214,9 @@ class LcmLayer {
   void preload_well_known(const WellKnownTable& wk);
 
   /// Pre-resolve a destination (infrastructure use: the primary Name
-  /// Server addresses its replicas this way; no resolver could).
+  /// Server addresses its replicas this way; no resolver could). Like a
+  /// Name-Server candidate, the address is pinned: a fault toward it
+  /// reconnects there and never asks the naming service (§6.3).
   void cache_destination(UAdd uadd, ResolvedDest dest);
 
   /// Asynchronous send on a (virtual) conversation. The BytesView forms
@@ -275,12 +287,19 @@ class LcmLayer {
 
   /// Where a send to some destination goes: the live end of its
   /// forwarding chain (§3.5) and the circuit to it, when one is open.
+  /// `closed`: there is none because it closed under us, and the naming
+  /// service is to be asked before reopening (asks_first_locked).
   struct Route {
     UAdd cur;
     IvcHandle h;
     bool have = false;
+    bool closed = false;
   };
   Route route_locked(UAdd dst) REQUIRES(mu_);
+  /// Whether a circuit that closed under `cur` asks the naming service
+  /// before reopening: `cur` is a minted UAdd, never a well-known or
+  /// pinned one, and there is a resolver to ask.
+  bool asks_first_locked(UAdd cur) const REQUIRES(mu_);
   /// Follow the forwarding-address table (§3.5).
   UAdd chase_forward_locked(UAdd dst) REQUIRES(mu_);
   ntcs::Result<ResolvedDest> resolved_for(UAdd dst);
@@ -326,9 +345,12 @@ class LcmLayer {
   mutable ntcs::Mutex mu_{ntcs::lockrank::kLcmState, "lcm.state"};
   ntcs::Rng rng_ GUARDED_BY(mu_);  // fault-retry jitter
   std::unordered_map<UAdd, IvcHandle> conns_ GUARDED_BY(mu_);
-  // Destinations whose circuit died underneath us (ivc_closed): the next
-  // successful open toward one of these counts as a reconnect even when the
-  // closed notification beat the send to the conns_ cleanup.
+  // Destinations whose circuit died underneath us (ivc_closed). One that
+  // asks first keeps its mark until the fault handler installs the
+  // forwarding answer, so no concurrent sender reopens a dead address; the
+  // handler consumes it. Any other is cleared by the next successful open,
+  // which counts as a reconnect even when the closed notification beat the
+  // send to the conns_ cleanup.
   std::unordered_set<UAdd> reconnect_pending_ GUARDED_BY(mu_);
   std::unordered_map<UAdd, UAdd> forwards_ GUARDED_BY(mu_);
   std::unordered_map<UAdd, ResolvedDest> resolved_cache_ GUARDED_BY(mu_);
@@ -371,16 +393,17 @@ class LcmLayer {
   metrics::Counter& busy_received_ = metrics_.counter("lcm.busy_received");
   metrics::Counter& shed_ = metrics_.counter("lcm.shed");
   metrics::Counter& busy_frames_ = metrics_.counter("lcm.busy_frames");
-  /// Name-Server candidates per well-known NS UAdd (the classic server
-  /// plus one entry per shard): primary first, then standby/replicas. The
-  /// address-fault path rotates through them instead of consulting the
-  /// resolver — the §6.3 rule that the stack never asks the naming
-  /// service about the naming service.
-  struct NsCandidateSet {
+  /// Pinned destinations and their candidates: per well-known NS UAdd (the
+  /// classic server plus one entry per shard) primary first, then
+  /// standby/replicas; per cache_destination entry (a primary's replica
+  /// links) its one address. The address-fault path rotates through them
+  /// instead of consulting the resolver — the §6.3 rule that the stack
+  /// never asks the naming service about the naming service.
+  struct CandidateSet {
     std::vector<ResolvedDest> dests;
     std::size_t idx = 0;
   };
-  std::unordered_map<UAdd, NsCandidateSet> ns_candidates_ GUARDED_BY(mu_);
+  std::unordered_map<UAdd, CandidateSet> candidates_ GUARDED_BY(mu_);
   Resolver* resolver_ = nullptr;
   TimeSource time_source_;
   MonitorHook monitor_hook_;

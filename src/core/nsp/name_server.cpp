@@ -154,13 +154,21 @@ void NameServer::apply_replica_update(const nsp::ReplicaUpdate& u) {
   // Last-writer-wins by registration sequence.
   auto it = db_.find(rec.uadd);
   if (it == db_.end() || it->second.seq <= rec.seq) {
+    auto idx = by_name_.find(rec.name);
     if (rec.deregistered) {
-      auto idx = by_name_.find(rec.name);
       if (idx != by_name_.end() && idx->second == rec.uadd) {
         by_name_.erase(idx);
       }
+    } else if (idx == by_name_.end()) {
+      by_name_.emplace(rec.name, rec.uadd);
     } else {
-      by_name_[rec.name] = rec.uadd;
+      // A snapshot arrives in no particular order: the index keeps the
+      // newest live record of the name, as on the primary.
+      auto held = db_.find(idx->second);
+      if (held == db_.end() || held->second.deregistered ||
+          held->second.name != rec.name || held->second.seq <= rec.seq) {
+        idx->second = rec.uadd;
+      }
     }
     db_[rec.uadd] = std::move(rec);
   }
@@ -517,16 +525,12 @@ ntcs::Bytes NameServer::handle_forward(UAdd old_uadd) {
       pending_updates_.push_back(update_for_locked(old));
     }
   }
-  // A "similar name" in a newer module: same logical name first, then the
-  // attribute-based fallback ("with our new attribute-based naming, this
-  // is more involved") — a module announcing the same "role" attribute.
-  const DbRecord* best = nullptr;
-  for (const auto& [uadd, rec] : db_) {
-    if (rec.deregistered || rec.seq <= old.seq) continue;
-    if (rec.name == old.name) {
-      if (best == nullptr || rec.seq > best->seq) best = &rec;
-    }
-  }
+  // A "similar name" in a newer module: same logical name first — the
+  // by-name index holds the newest live record — then the attribute-based
+  // fallback ("with our new attribute-based naming, this is more
+  // involved"), a module announcing the same "role" attribute.
+  const DbRecord* best = find_by_name_locked(old.name);
+  if (best != nullptr && best->seq <= old.seq) best = nullptr;
   if (best == nullptr) {
     auto role = old.attrs.find("role");
     if (role != old.attrs.end()) {

@@ -129,7 +129,8 @@ class NameServer {
   /// Ship queued mutations to every replica (service thread only).
   void flush_replication();
   /// The newest live record with this name, via the by-name index (O(1));
-  /// falls back to a scan + index repair if the indexed record died.
+  /// falls back to a scan + index repair if the indexed record died. No
+  /// live record of a name is newer than the one its index entry holds.
   const DbRecord* find_by_name_locked(const std::string& name) REQUIRES(mu_);
   /// Write barrier: true if this instance may apply the write. A standby
   /// probes the primary and self-promotes when it is gone.

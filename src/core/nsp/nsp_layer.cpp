@@ -30,6 +30,7 @@ void NspLayer::configure_shards(const WellKnownTable& wk) {
   if (n == shard_map_.size()) return;  // same topology: leases stay good
   shard_map_ = nsp::ShardMap(n);
   lease_cache_.clear();
+  lease_names_.clear();
   publish_lease_cache(0);
   shard_epochs_.assign(n, 0);
 }
@@ -146,6 +147,7 @@ void NspLayer::note_epoch_locked(std::size_t shard, std::uint64_t epoch) {
   // this shard granted under an older epoch may name a dead location.
   for (auto it = lease_cache_.begin(); it != lease_cache_.end();) {
     if (it->second.shard == shard && it->second.epoch < epoch) {
+      unindex_lease_locked(it->second.uadd, it->first);
       it = lease_cache_.erase(it);
       cache_invalidations_.inc();
     } else {
@@ -153,6 +155,16 @@ void NspLayer::note_epoch_locked(std::size_t shard, std::uint64_t epoch) {
     }
   }
   publish_lease_cache(lease_cache_.size());
+}
+
+void NspLayer::unindex_lease_locked(UAdd uadd, const std::string& name) {
+  auto [it, end] = lease_names_.equal_range(uadd);
+  for (; it != end; ++it) {
+    if (it->second == name) {
+      lease_names_.erase(it);
+      return;
+    }
+  }
 }
 
 ntcs::Result<UAdd> NspLayer::accept_lookup_reply(const std::string& name,
@@ -169,8 +181,12 @@ ntcs::Result<UAdd> NspLayer::accept_lookup_reply(const std::string& name,
     // reordered stale reply must not resurrect a dead location.
     if (resp.value().shard < shard_epochs_.size() &&
         resp.value().epoch == shard_epochs_[resp.value().shard]) {
-      lease_cache_[name] =
-          Lease{uadd, resp.value().epoch, expiry, resp.value().shard};
+      auto [it, fresh] = lease_cache_.try_emplace(name);
+      if (fresh || it->second.uadd != uadd) {
+        if (!fresh) unindex_lease_locked(it->second.uadd, name);
+        lease_names_.emplace(uadd, name);
+      }
+      it->second = Lease{uadd, resp.value().epoch, expiry, resp.value().shard};
       publish_lease_cache(lease_cache_.size());
     }
   }
@@ -331,14 +347,12 @@ ntcs::Result<UAdd> NspLayer::forward(UAdd old_uadd) {
   // silent wrong answer.
   {
     ntcs::LockGuard lk(lease_mu_);
-    for (auto it = lease_cache_.begin(); it != lease_cache_.end();) {
-      if (it->second.uadd == old_uadd) {
-        it = lease_cache_.erase(it);
-        cache_invalidations_.inc();
-      } else {
-        ++it;
-      }
+    auto [first, last] = lease_names_.equal_range(old_uadd);
+    for (auto it = first; it != last; ++it) {
+      lease_cache_.erase(it->second);
+      cache_invalidations_.inc();
     }
+    lease_names_.erase(first, last);
     publish_lease_cache(lease_cache_.size());
   }
   auto body = call_targets(targets_for_uadd(old_uadd),

@@ -151,6 +151,9 @@ class NspLayer : public Resolver {
   /// lease the shard granted under older ones.
   void note_epoch_locked(std::size_t shard, std::uint64_t epoch)
       REQUIRES(lease_mu_);
+  /// Drop `name`'s entry under `uadd` from lease_names_.
+  void unindex_lease_locked(UAdd uadd, const std::string& name)
+      REQUIRES(lease_mu_);
   /// Decode a lookup reply and (if cacheable) install the lease.
   ntcs::Result<UAdd> accept_lookup_reply(const std::string& name,
                                          ntcs::BytesView body);
@@ -177,6 +180,11 @@ class NspLayer : public Resolver {
   mutable ntcs::Mutex lease_mu_{ntcs::lockrank::kNspLease, "nsp.lease"};
   nsp::ShardMap shard_map_ GUARDED_BY(lease_mu_);
   std::unordered_map<std::string, Lease> lease_cache_ GUARDED_BY(lease_mu_);
+  // UAdd -> every name whose lease names it, so forward() purges a dead
+  // UAdd's leases without scanning lease_cache_. One entry per lease:
+  // changed with every lease insert, overwrite and erase.
+  std::unordered_multimap<UAdd, std::string> lease_names_
+      GUARDED_BY(lease_mu_);
   std::vector<std::uint64_t> shard_epochs_ GUARDED_BY(lease_mu_);
 };
 

@@ -35,23 +35,12 @@ ntcs::Result<ProcessController::Managed> ProcessController::take(
   return m;
 }
 
-ntcs::Result<core::UAdd> ProcessController::launch(const std::string& name,
-                                                   Managed m) {
-  auto uadd = m.node->commod().register_self(m.attrs);
-  if (uadd) {
-    m.node->run([node = m.node.get(), fn = m.fn](std::stop_token st) {
-      fn(*node, std::move(st));
-    });
-  } else {
-    m.node.reset();  // stopped with the table lock released
-  }
+void ProcessController::launch(const std::string& name, Managed m) {
+  m.node->run([node = m.node.get(), fn = m.fn](std::stop_token st) {
+    fn(*node, std::move(st));
+  });
   ntcs::LockGuard lk(mu_);
-  if (uadd) {
-    modules_[name] = std::move(m);
-  } else {
-    modules_.erase(name);
-  }
-  return uadd;
+  modules_[name] = std::move(m);
 }
 
 ntcs::Result<core::UAdd> ProcessController::spawn(
@@ -76,11 +65,19 @@ ntcs::Result<core::UAdd> ProcessController::spawn(
     modules_.erase(name);
     return node.error();
   }
+  auto uadd = node.value()->commod().register_self(attrs);
+  if (!uadd) {
+    node.value().reset();  // stopped with the table lock released
+    ntcs::LockGuard lk(mu_);
+    modules_.erase(name);
+    return uadd;
+  }
   Managed m;
   m.node = std::move(node.value());
   m.attrs = attrs;
   m.fn = std::move(fn);
-  return launch(name, std::move(m));
+  launch(name, std::move(m));
+  return uadd;
 }
 
 ntcs::Status ProcessController::kill(const std::string& name) {
@@ -94,18 +91,28 @@ ntcs::Result<core::UAdd> ProcessController::relocate(
     const std::string& name, const std::string& new_machine,
     const std::string& new_net) {
   // "allow the replacement, removal or addition of modules while the
-  // system is in operation" (§1.3). The replacement starts first, so a
-  // relocation that cannot place the module leaves the old incarnation
-  // serving. Then the old one is killed and the new one registered under
-  // the same name: in-flight conversations fault, the naming service maps
-  // the old UAdd to this newer module, and traffic resumes (§3.5).
+  // system is in operation" (§1.3). Make before break: the replacement
+  // starts and registers under the same name while the old incarnation
+  // still serves, so a relocation that cannot place or register the module
+  // leaves it serving. Only then is the old one stopped: its conversations
+  // fault, and every forwarding query from then on finds this newer module
+  // (§3.5) — there is no window in which the name has no live successor.
   auto node = tb_.make_node(name, new_machine, new_net);
   if (!node) return node.error();
   auto m = take(name, /*reserve=*/true);
   if (!m) return m.error();
-  m.value().node->stop();
-  m.value().node = std::move(node.value());
-  return launch(name, std::move(m.value()));
+  Managed& managed = m.value();
+  auto uadd = node.value()->commod().register_self(managed.attrs);
+  if (!uadd) {
+    node.value().reset();  // stopped with the table lock released
+    ntcs::LockGuard lk(mu_);
+    modules_[name] = std::move(managed);
+    return uadd;
+  }
+  managed.node->stop();
+  managed.node = std::move(node.value());
+  launch(name, std::move(managed));
+  return uadd;
 }
 
 core::Node* ProcessController::find(const std::string& name) {

@@ -4,10 +4,10 @@
 // machine, various DRTS services have been added as required" — process
 // control being the first the paper names. The controller spawns managed
 // modules (a Node running a service loop on its service thread), kills
-// them, and — the URSA testbed requirement — *relocates* them: start a
-// replacement on another machine, kill the old incarnation, and register
-// the new one under the same logical name, whereupon the naming service's
-// forwarding determination (§3.5) steers every old UAdd to it.
+// them, and — the URSA testbed requirement — *relocates* them, make before
+// break: start a replacement on another machine and register it under the
+// same logical name, then stop the old incarnation, whereupon the naming
+// service's forwarding determination (§3.5) steers every old UAdd to it.
 #pragma once
 
 #include <functional>
@@ -44,8 +44,10 @@ class ProcessController {
   ntcs::Status kill(const std::string& name);
 
   /// Dynamic reconfiguration (§3.5): move a module to another machine
-  /// "while the system is in operation". Returns the new UAdd. If the
-  /// replacement cannot be started, the old incarnation keeps serving.
+  /// "while the system is in operation". Returns the new UAdd. The
+  /// replacement is registered before the original stops, and its service
+  /// runs after; if it cannot be started or registered, the old
+  /// incarnation keeps serving.
   ntcs::Result<core::UAdd> relocate(const std::string& name,
                                     const std::string& new_machine,
                                     const std::string& new_net);
@@ -69,9 +71,9 @@ class ProcessController {
   /// Move `name`'s module out of the table; a placeholder keeps the name
   /// reserved when `reserve` is set.
   ntcs::Result<Managed> take(const std::string& name, bool reserve);
-  /// Register `m`'s started node, run its service and publish it in the
-  /// name's reserved slot (or free the slot on failure).
-  ntcs::Result<core::UAdd> launch(const std::string& name, Managed m);
+  /// Run `m`'s registered node's service and publish it in the name's
+  /// reserved slot.
+  void launch(const std::string& name, Managed m);
 
   core::Testbed& tb_;
   // Outermost rank of the whole tree: registration state is mutated under

@@ -427,6 +427,29 @@ TEST(ProcessControl, FailedRelocationLeavesServiceRunning) {
   client->stop();
 }
 
+TEST(ProcessControl, RelocationRegistersTheSuccessorBeforeStoppingTheOriginal) {
+  // Make before break: by the time the original's service returns, the
+  // naming service already holds its successor, so a forwarding query
+  // never lands in a window where the name has no live module.
+  Rig rig;
+  ProcessController pc(rig.tb);
+  std::atomic<int> incarnation{0};
+  std::atomic<std::size_t> records_at_stop{0};
+  ASSERT_TRUE(pc.spawn("svc", "sun1", "lan", {},
+                       [&](core::Node& node, std::stop_token st) {
+                         const bool original = incarnation.fetch_add(1) == 0;
+                         make_echo_service()(node, std::move(st));
+                         if (original) {
+                           records_at_stop.store(
+                               rig.tb.name_server().record_count());
+                         }
+                       })
+                  .ok());
+  const std::size_t before = rig.tb.name_server().record_count();
+  ASSERT_TRUE(pc.relocate("svc", "apollo1", "lan").ok());
+  EXPECT_EQ(records_at_stop.load(), before + 1);
+}
+
 TEST(ProcessControl, RelocatedModulesPumpStaysWatched) {
   // The replacement's pump starts before the original stops, and both
   // beat the same `pump.<name>` heartbeat: the original's clean stop must

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "core/testbed.h"
+#include "drts/process_control.h"
 #include "simnet/backend.h"
 #include "scope_counters.h"
 
@@ -199,6 +200,159 @@ TEST(LcmLayer, FaultInKillWindowDoesNotStrandClient) {
   EXPECT_EQ(to_string(in.value().payload), "found you");
   gen2->stop();
   rig.b.reset();
+}
+
+/// Waits until `node`'s IP-Layer has counted a circuit close since it read
+/// `closed`.
+bool await_close(Node& node, std::uint64_t closed) {
+  const auto until = std::chrono::steady_clock::now() + 2s;
+  while (node.ip().stats().ivcs_closed == closed &&
+         std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(1ms);
+  }
+  return node.ip().stats().ivcs_closed != closed;
+}
+
+/// Kills the newest live simnet channel (ids are sequential, so the one
+/// established last) and returns whether there was one.
+bool kill_newest_channel(Testbed& tb) {
+  for (simnet::ChannelId c = 63; c >= 1; --c) {
+    if (tb.fabric().kill_channel(c).ok()) return true;
+  }
+  return false;
+}
+
+TEST(LcmLayer, RelocatedDestinationRecoversWithoutReopeningTheDeadAddress) {
+  // §3.5: the circuit to a relocated module closes under the client, which
+  // asks the naming service where it went before reopening anything — one
+  // forward, one resolve, one open. No open retries against the address
+  // the module left, and no backoff: nothing failed twice.
+  Rig rig;
+  drts::ProcessController pc(rig.tb);
+  ASSERT_TRUE(
+      pc.spawn("svc", "m2", "lan", {}, drts::make_echo_service()).ok());
+  auto addr = rig.a->commod().locate("svc").value();
+  ASSERT_TRUE(rig.a->commod().request(addr, to_bytes("warm"), 2s).ok());
+
+  const std::uint64_t closed = rig.a->ip().stats().ivcs_closed;
+  auto moved = pc.relocate("svc", "m1", "lan");
+  ASSERT_TRUE(moved.ok()) << moved.error().to_string();
+  ASSERT_TRUE(await_close(*rig.a, closed));
+
+  const metrics::Snapshot before = rig.a->metrics().snapshot();
+  auto reply = rig.a->commod().request(addr, to_bytes("moved"), 2s);
+  ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+  EXPECT_EQ(to_string(reply.value().payload), "echo:moved");
+  EXPECT_EQ(rig.a->lcm().current_target(addr), moved.value());
+  const metrics::Snapshot d = rig.a->metrics().snapshot().delta(before);
+  EXPECT_EQ(d.value("nd.open_retries"), 0u);
+  EXPECT_EQ(d.value("lcm.fault_backoffs"), 0u);
+  EXPECT_EQ(d.value("lcm.address_faults"), 1u);
+  EXPECT_EQ(d.value("lcm.relocations"), 1u);
+  EXPECT_EQ(d.value("lcm.reconnects"), 1u);
+}
+
+TEST(LcmLayer, PipelinedRequestsAcrossARelocationNeverReopenTheDeadAddress) {
+  // 32 requests ride one circuit when the module moves. They all fault on
+  // its close; the closed-circuit mark holds until a forwarding answer is
+  // installed, so each either asks the naming service itself or chases
+  // the answer another installed — none reopens the address left behind.
+  Rig rig;
+  drts::ProcessController pc(rig.tb);
+  std::atomic<int> incarnation{0};
+  ASSERT_TRUE(pc.spawn("svc", "m2", "lan", {},
+                       [&](Node& node, std::stop_token st) {
+                         if (incarnation.fetch_add(1) == 0) {
+                           // The original holds every request unanswered.
+                           while (!st.stop_requested()) {
+                             (void)node.commod().receive(10ms);
+                           }
+                           return;
+                         }
+                         drts::make_echo_service()(node, std::move(st));
+                       })
+                  .ok());
+  auto addr = rig.a->commod().locate("svc").value();
+  constexpr int kRequests = 32;
+  std::vector<RequestTicket> tickets;
+  for (int i = 0; i < kRequests; ++i) {
+    auto t = rig.a->commod().request_async(
+        addr, to_bytes("r" + std::to_string(i)), 5s);
+    ASSERT_TRUE(t.ok()) << t.error().to_string();
+    tickets.push_back(t.value());
+  }
+
+  const std::uint64_t retries_before =
+      counter_value(rig.a->metrics(), "nd.open_retries");
+  ASSERT_TRUE(pc.relocate("svc", "m1", "lan").ok());
+  // Awaited from several threads, so the recoveries run concurrently.
+  constexpr int kAwaiters = 8;
+  std::atomic<int> answered{0};
+  {
+    std::vector<std::jthread> awaiters;
+    for (int w = 0; w < kAwaiters; ++w) {
+      awaiters.emplace_back([&, w] {
+        for (int i = w; i < kRequests; i += kAwaiters) {
+          auto r = rig.a->commod().await(tickets[static_cast<std::size_t>(i)]);
+          if (r.ok() &&
+              to_string(r.value().payload) == "echo:r" + std::to_string(i)) {
+            answered.fetch_add(1);
+          }
+        }
+      });
+    }
+  }
+  EXPECT_EQ(answered.load(), kRequests);
+  EXPECT_EQ(counter_value(rig.a->metrics(), "nd.open_retries"),
+            retries_before);
+}
+
+TEST(LcmLayer, ClosedCircuitToALiveModuleReopensWhileTheNameServerIsDown) {
+  // Asking first must not make a live peer hostage to the naming service:
+  // with the Name Server gone the forwarding query fails, and the closed
+  // circuit reopens to the address it ran to.
+  Rig rig;
+  auto addr = rig.a->commod().locate("b").value();
+  ASSERT_TRUE(rig.a->commod().send(addr, to_bytes("warm")).ok());
+  ASSERT_TRUE(rig.b->commod().receive(1s).ok());
+  // The a<->b circuit was established last, after both Name-Server ones.
+  const std::uint64_t closed = rig.a->ip().stats().ivcs_closed;
+  ASSERT_TRUE(kill_newest_channel(rig.tb));
+  ASSERT_TRUE(await_close(*rig.a, closed));
+  rig.tb.name_server().stop();
+
+  ASSERT_TRUE(rig.a->commod().send(addr, to_bytes("still here")).ok());
+  auto in = rig.b->commod().receive(2s);
+  ASSERT_TRUE(in.ok());
+  EXPECT_EQ(to_string(in.value().payload), "still here");
+  EXPECT_EQ(counter_value(rig.a->metrics(), "lcm.relocations"), 0u);
+}
+
+TEST(LcmLayer, ClosedNameServerCircuitIsNeverAskedAbout) {
+  // §6.3: the stack never asks the naming service about the naming service
+  // — not first, not after. A killed Name-Server circuit reconnects to the
+  // well-known address without a forwarding query.
+  Testbed tb;
+  tb.net("lan");
+  tb.machine("m1", Arch::vax780, {"lan"});
+  tb.machine("m2", Arch::sun3, {"lan"});
+  ASSERT_TRUE(tb.start_name_server("m1", "lan").ok());
+  ASSERT_TRUE(tb.finalize().ok());
+  auto a = tb.spawn_module("a", "m2", "lan").value();
+  ASSERT_TRUE(a->commod().ping_name_server().ok());
+
+  const std::uint64_t closed = a->ip().stats().ivcs_closed;
+  ASSERT_TRUE(kill_newest_channel(tb));  // a's only circuit: to the NS
+  ASSERT_TRUE(await_close(*a, closed));
+  ASSERT_TRUE(a->commod().ping_name_server().ok());
+  auto self = a->commod().locate("a");
+  ASSERT_TRUE(self.ok()) << self.error().to_string();
+  EXPECT_EQ(self.value(), a->identity().uadd());
+  EXPECT_EQ(counter_value(tb.name_server().node().metrics(), "ns.forwards"),
+            0u);
+  EXPECT_EQ(counter_value(a->metrics(), "lcm.relocations"), 0u);
+  EXPECT_GE(counter_value(a->metrics(), "lcm.reconnects"), 1u);
+  a->stop();
 }
 
 TEST(LcmLayer, InboundCircuitReusedForReplyTraffic) {

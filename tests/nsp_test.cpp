@@ -335,6 +335,50 @@ TEST(NspLease, RenewalAcrossEpochBumpCarriesTheNewEpoch) {
   client->stop();
 }
 
+TEST(NspLease, ForwardPurgesOnlyTheLeasesThatNameTheDeadUAdd) {
+  Rig rig;
+  auto other = rig.tb.spawn_module("other", "m1", "lan").value();
+  auto client = rig.tb.spawn_module("purge-client", "m1", "lan").value();
+  const UAdd gen1 = rig.mod->identity().uadd();
+  ASSERT_TRUE(client->commod().locate("mod").ok());
+  ASSERT_TRUE(client->commod().locate("other").ok());
+
+  // gen1 leaves cleanly and a successor takes the name. That is no move,
+  // so the epoch stays and the refreshed lease overwrites gen1's.
+  const std::uint64_t epoch = rig.tb.name_server().epoch();
+  ASSERT_TRUE(rig.mod->nsp().deregister(gen1).ok());
+  rig.mod->stop();
+  rig.mod = rig.tb.spawn_module("mod", "m2", "lan").value();
+  const UAdd gen2 = rig.mod->identity().uadd();
+  ASSERT_EQ(rig.tb.name_server().epoch(), epoch);
+  client->nsp().debug_force_expire("mod");
+  ASSERT_EQ(client->commod().locate("mod").value_or(UAdd{}), gen2);
+
+  // A fault on gen1 finds the successor and purges nothing: the lease
+  // re-leased to gen2 and the unrelated one both survive it.
+  const std::uint64_t invalidations =
+      counter_value(client->metrics(), "nsp.cache_invalidations");
+  auto fwd = client->nsp().forward(gen1);
+  ASSERT_TRUE(fwd.ok()) << fwd.error().to_string();
+  EXPECT_EQ(fwd.value(), gen2);
+  auto kept = client->nsp().lease_peek("mod");
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_EQ(kept->uadd, gen2);
+  EXPECT_TRUE(client->nsp().lease_peek("other").has_value());
+  EXPECT_EQ(counter_value(client->metrics(), "nsp.cache_invalidations"),
+            invalidations);
+
+  // A fault on gen2 purges exactly its lease, though gen2 lives.
+  EXPECT_EQ(client->nsp().forward(gen2).code(), Errc::still_alive);
+  EXPECT_FALSE(client->nsp().lease_peek("mod").has_value());
+  EXPECT_TRUE(client->nsp().lease_peek("other").has_value());
+  EXPECT_EQ(counter_value(client->metrics(), "nsp.cache_invalidations"),
+            invalidations + 1);
+
+  other->stop();
+  client->stop();
+}
+
 TEST(NspLease, StaleLeaseSelfCorrectsThroughTheAddressFaultRetry) {
   Rig rig;
   auto client = rig.tb.spawn_module("fault-client", "m1", "lan").value();

@@ -61,6 +61,28 @@ TEST(Replica, IncrementalUpdatesFlow) {
   mod->stop();
 }
 
+TEST(Replica, DeadReplicaDoesNotStallPrimaryWrites) {
+  // The primary addresses its replica by a pinned physical address. When
+  // the replica dies, the replication datagram's fault must not ask the
+  // naming service — the primary itself, from its own service thread —
+  // where the replica went (§6.3): that stalled every write for the full
+  // request timeout.
+  Rig rig;
+  rig.wait_replicated(1);
+  rig.tb.replica(0).stop();
+  const metrics::MetricsRegistry& primary =
+      rig.tb.name_server().node().metrics();
+  const std::uint64_t queries = counter_value(primary, "nsp.queries");
+  for (int i = 0; i < 3; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    auto mod = rig.tb.spawn_module("late-" + std::to_string(i), "m2", "lan");
+    ASSERT_TRUE(mod.ok()) << mod.error().to_string();
+    EXPECT_LT(std::chrono::steady_clock::now() - start, 1s);
+    mod.value()->stop();
+  }
+  EXPECT_EQ(counter_value(primary, "nsp.queries"), queries);
+}
+
 TEST(Replica, LookupsServedAfterPrimaryDeath) {
   Rig rig;
   auto target = rig.tb.spawn_module("target", "m2", "lan").value();

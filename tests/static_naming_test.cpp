@@ -3,6 +3,8 @@
 // naming service and NO Name Server module anywhere.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "core/nsp/static_resolver.h"
 #include "core/testbed.h"
 #include "simnet/backend.h"
@@ -156,6 +158,53 @@ TEST(StaticNaming, NoForwardingMeansCleanFailureOnDeath) {
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), Errc::not_found);  // forward() had nothing to offer
   a.stop();
+}
+
+TEST(StaticNaming, KilledCircuitToALivePeerReopens) {
+  // A closed circuit asks forward() first, and a static table answers
+  // not_found for every UAdd: that must reopen the live peer's address,
+  // not fail the send.
+  simnet::Fabric fabric{1};
+  auto lan = fabric.add_network("lan");
+  auto m = fabric.add_machine("m", Arch::vax780, {lan});
+  NodeConfig cfg_a;
+  cfg_a.name = "a";
+  cfg_a.backend = std::make_shared<simnet::SimnetBackend>(
+      fabric, m, simnet::IpcsKind::tcp);
+  cfg_a.net = "lan";
+  NodeConfig cfg_b = cfg_a;
+  Node a(std::move(cfg_a));
+  ASSERT_TRUE(a.start().ok());
+  a.identity().set_uadd(UAdd::permanent(2001));
+  cfg_b.name = "b";
+  Node b(std::move(cfg_b));
+  ASSERT_TRUE(b.start().ok());
+  b.identity().set_uadd(UAdd::permanent(2002));
+  StaticNameService svc;
+  svc.add("a", UAdd::permanent(2001), a.phys(), "lan");
+  svc.add("b", UAdd::permanent(2002), b.phys(), "lan");
+  use_static_naming(a, svc);
+  use_static_naming(b, svc);
+  ASSERT_TRUE(a.commod().send(UAdd::permanent(2002), to_bytes("1")).ok());
+  ASSERT_TRUE(b.commod().receive(2s).ok());
+
+  const std::uint64_t closed = a.ip().stats().ivcs_closed;
+  bool killed = false;
+  for (simnet::ChannelId c = 63; c >= 1 && !killed; --c) {
+    killed = fabric.kill_channel(c).ok();  // the a<->b channel, the only one
+  }
+  ASSERT_TRUE(killed);
+  const auto until = std::chrono::steady_clock::now() + 2s;
+  while (a.ip().stats().ivcs_closed == closed &&
+         std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_TRUE(a.commod().send(UAdd::permanent(2002), to_bytes("2")).ok());
+  auto in = b.commod().receive(2s);
+  ASSERT_TRUE(in.ok());
+  EXPECT_EQ(to_string(in.value().payload), "2");
+  a.stop();
+  b.stop();
 }
 
 }  // namespace
